@@ -1,5 +1,5 @@
 //! Micro-benchmarks for the imprint path (simulator cost; §V timing
-//! arithmetic is exercised by `table1_timing`).
+//! arithmetic is exercised by `run_all --only table1`).
 
 use std::hint::black_box;
 

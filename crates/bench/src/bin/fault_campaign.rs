@@ -15,7 +15,7 @@
 
 use std::process::ExitCode;
 
-use flashmark_bench::fault_campaign::{fault_campaign, fault_campaign_trials};
+use flashmark_bench::fault_campaign::{fault_campaign, fault_campaign_trials, CAMPAIGN_SEED};
 use flashmark_bench::output::{write_json, Table};
 use flashmark_bench::suite::Profile;
 use flashmark_par::{threads_from_env_args, TrialRunner};
@@ -32,7 +32,7 @@ fn parse_seed() -> Result<u64, String> {
         };
         return value.parse().map_err(|_| format!("bad --seed: {value:?}"));
     }
-    Ok(42)
+    Ok(CAMPAIGN_SEED)
 }
 
 fn run() -> Result<bool, Box<dyn std::error::Error>> {

@@ -4,8 +4,8 @@
 //!
 //! Flags (values accept both `--flag=N` and `--flag N` forms):
 //!
-//! - `--seed N` — campaign seed (default 42, matching the committed
-//!   `results/obs_report.json`).
+//! - `--seed N` — campaign seed (default `CAMPAIGN_SEED`, 42, matching the
+//!   committed `results/obs_report.json`).
 //! - `--trial N` — trial index to replay (default 0).
 //! - `--full` / `--profile=full` — replay against the full fault grid
 //!   (default: smoke).
@@ -17,6 +17,7 @@
 
 use std::process::ExitCode;
 
+use flashmark_bench::fault_campaign::CAMPAIGN_SEED;
 use flashmark_bench::observability::dump_trial;
 use flashmark_bench::suite::Profile;
 
@@ -39,7 +40,7 @@ fn flag_value<T: std::str::FromStr>(
 }
 
 fn main() -> ExitCode {
-    let mut seed = 42u64;
+    let mut seed = CAMPAIGN_SEED;
     let mut trial = 0usize;
     let mut profile = Profile::Smoke;
     let mut args = std::env::args().skip(1);

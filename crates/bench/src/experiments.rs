@@ -5,19 +5,26 @@
 //! independent unit of work (a stress level, a replica pair, a read count)
 //! is one *trial* running on its own chip seeded by
 //! `TrialRunner::trial_seed`, and results are merged in trial order.
-//! The binaries print tables and dump JSON/CSV.
+//! The suite's experiment table (`crate::suite`) writes their JSON/CSV
+//! artifacts.
 
 use flashmark_core::{
-    analyze_segment, characterize_segment, select_t_pew, CoreError, Extractor, FlashmarkConfig,
-    Imprinter, ReplicaLayout, StressDetector, SweepSpec, Watermark,
+    analyze_segment, characterize_sample, characterize_segment, fuse_windows, select_t_pew,
+    CoreError, Extractor, FlashmarkConfig, Imprinter, ProgramTimeDetector, ReplicaLayout,
+    SegmentCondition, StressDetector, SweepSpec, TestStatus, Verdict, Verifier, Watermark,
 };
 use flashmark_ecc::{Code, Hamming};
-use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
+use flashmark_msp430::{Msp430Flash, Msp430Variant};
+use flashmark_nand::{NandChip, NandGeometry, NandWordAdapter};
+use flashmark_nor::interface::{BulkStress, FlashInterface, FlashInterfaceExt};
 use flashmark_nor::{FlashController, SegmentAddr};
 use flashmark_par::TrialRunner;
 use flashmark_physics::Micros;
+use flashmark_supply::Manufacturer;
 
-use crate::harness::{precondition_segment, test_chip, trial_chip, uppercase_ascii_watermark};
+use crate::harness::{
+    chip_with_segments, precondition_segment, test_chip, trial_chip, uppercase_ascii_watermark,
+};
 
 /// Collects per-trial results, surfacing the first error in trial order.
 fn merge<T>(results: Vec<Result<T, CoreError>>) -> Result<Vec<T>, CoreError> {
@@ -626,6 +633,291 @@ pub fn recycled_probe(
     Ok(RecycledProbeData { rows: merge(rows)? })
 }
 
+// ------------------------------------------------- recycled detectors ----
+
+/// Recycled-chip detector comparison.
+#[derive(Debug, Clone)]
+pub struct DetectorComparisonData {
+    /// `(prior_kcycles, erase_frac, erase_flags, prog_frac, prog_flags)`
+    /// rows.
+    pub rows: Vec<(f64, f64, bool, f64, bool)>,
+}
+
+/// Compares the paper's partial-erase primitive (Fig. 5, [`StressDetector`])
+/// with the FFD/timing-style partial-program baseline of related work
+/// \[6\]/\[7\] ([`ProgramTimeDetector`]) across prior wear levels. Each
+/// level is one segment of a single chip, preconditioned and probed in
+/// order.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn detector_comparison(
+    chip_seed: u64,
+    prior_kcycles: &[f64],
+) -> Result<DetectorComparisonData, CoreError> {
+    let mut flash = test_chip(chip_seed);
+    let erase_det = StressDetector::fig5();
+    let prog_det = ProgramTimeDetector::default_for_msp430();
+    let rows = prior_kcycles
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| {
+            let seg = SegmentAddr::new(i as u32);
+            precondition_segment(&mut flash, seg, (k * 1000.0) as u64)?;
+            let e = erase_det.classify(&mut flash, seg)?;
+            let p = prog_det.classify(&mut flash, seg)?;
+            Ok((
+                k,
+                e.programmed_fraction(),
+                e.verdict == SegmentCondition::Stressed,
+                p.programmed_fraction(),
+                p.verdict == SegmentCondition::Stressed,
+            ))
+        })
+        .collect::<Result<_, CoreError>>()?;
+    Ok(DetectorComparisonData { rows })
+}
+
+// ------------------------------------------------------ family recipe ----
+
+/// Family-consistency result: per-chip windows and the fused recipe.
+#[derive(Debug, Clone)]
+pub struct FamilyData {
+    /// `(chip_seed, t_pew_us, separation, window_lo_us, window_hi_us)` rows.
+    pub per_chip: Vec<(u64, f64, f64, f64, f64)>,
+    /// The published recipe's `tPEW` (µs).
+    pub recipe_t_pew_us: f64,
+    /// The published recipe's window (µs).
+    pub recipe_window: (f64, f64),
+    /// Spread of the per-chip optima (µs).
+    pub optimum_spread_us: f64,
+}
+
+/// The paper's "flash memories within the same family show consistent
+/// behavior": characterizes `chips` sample chips against a 50 K reference
+/// and fuses their windows into the published recipe. One trial per chip;
+/// chip seeds are the family's fixed identities (`experiment seed + 7·i`),
+/// not trial-derived, so the family is the same at any thread count.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn family_consistency(
+    runner: &TrialRunner,
+    chips: u64,
+    sweep: &SweepSpec,
+    reads: usize,
+) -> Result<FamilyData, CoreError> {
+    let seeds: Vec<u64> = (0..chips)
+        .map(|i| runner.experiment_seed() + i * 7)
+        .collect();
+    let windows = runner.run(seeds.len(), |trial| {
+        let mut chip = chip_with_segments(4, seeds[trial.index]);
+        characterize_sample(
+            &mut chip,
+            SegmentAddr::new(0),
+            SegmentAddr::new(1),
+            50.0,
+            sweep,
+            260,
+            reads,
+        )
+    });
+    let fam = fuse_windows(merge(windows)?, 50.0, 7, reads)?;
+    Ok(FamilyData {
+        per_chip: seeds
+            .iter()
+            .zip(&fam.per_chip)
+            .map(|(&s, w)| {
+                (
+                    s,
+                    w.t_pew.get(),
+                    w.separation(),
+                    w.window_lo.get(),
+                    w.window_hi.get(),
+                )
+            })
+            .collect(),
+        recipe_t_pew_us: fam.recipe.t_pew.get(),
+        recipe_window: (fam.recipe.window_lo.get(), fam.recipe.window_hi.get()),
+        optimum_spread_us: fam.optimum_spread().get(),
+    })
+}
+
+// -------------------------------------------------------- temperature ----
+
+/// Die-temperature ablation result.
+#[derive(Debug, Clone)]
+pub struct TemperatureSweepData {
+    /// `(temp_c, best_t_pe_us, min_ber)` rows.
+    pub rows: Vec<(f64, f64, f64)>,
+    /// `(temp_c, ber)`: BER at the 25 °C-calibrated `tPEW` when extracted
+    /// at each temperature.
+    pub fixed_t_pew_rows: Vec<(f64, f64)>,
+}
+
+/// How die temperature moves the extraction window. The recipe's `tPEW`
+/// is calibrated at 25 °C, and erase runs faster on a hot die, so a fixed
+/// `fixed_t_pew` drifts inside (or out of) the window. One trial per
+/// temperature re-creates the same die (the experiment seed is the chip
+/// seed), imprints it at 60 K cycles, and sweeps `tPE` at that temperature.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn temperature_sweep(
+    runner: &TrialRunner,
+    temps_c: &[f64],
+    sweep: &SweepSpec,
+    fixed_t_pew: Micros,
+) -> Result<TemperatureSweepData, CoreError> {
+    let chip_seed = runner.experiment_seed();
+    let wm = uppercase_ascii_watermark(512, 0x7E);
+    let per_temp = runner.run(temps_c.len(), |trial| {
+        let temp = temps_c[trial.index];
+        let mut flash = chip_with_segments(2, chip_seed);
+        let seg = SegmentAddr::new(0);
+        let cfg = FlashmarkConfig::builder()
+            .n_pe(60_000)
+            .replicas(1)
+            .reads(1)
+            .build()?;
+        Imprinter::new(&cfg).imprint(&mut flash, seg, &wm)?;
+
+        flash.set_temperature_c(temp);
+        let mut best = (0.0f64, f64::INFINITY);
+        let mut at_fixed = f64::NAN;
+        for t in sweep.times() {
+            let c = FlashmarkConfig::builder()
+                .n_pe(1)
+                .replicas(1)
+                .reads(1)
+                .t_pew(t)
+                .build()?;
+            let ber = Extractor::new(&c)
+                .extract(&mut flash, seg, wm.len())?
+                .ber_against(&wm);
+            if ber < best.1 {
+                best = (t.get(), ber);
+            }
+            if (t.get() - fixed_t_pew.get()).abs() < 0.01 {
+                at_fixed = ber;
+            }
+        }
+        Ok(((temp, best.0, best.1), (temp, at_fixed)))
+    });
+    let (rows, fixed_t_pew_rows) = merge(per_temp)?.into_iter().unzip();
+    Ok(TemperatureSweepData {
+        rows,
+        fixed_t_pew_rows,
+    })
+}
+
+// ------------------------------------------------------ imprint effort ---
+
+/// Imprint-effort trade-off result.
+#[derive(Debug, Clone)]
+pub struct NpeSweepData {
+    /// `(n_pe, chips, verified_genuine, imprint_s)` rows.
+    pub rows: Vec<(u64, usize, usize, f64)>,
+}
+
+/// The Section V conflict between few P/E stresses (short imprint) and
+/// error-free extraction, end to end: at each `NPE`, `chips` chips are
+/// manufactured and verified through the full record workflow. Every
+/// `(level, chip)` pair is one trial with its own manufacturer and
+/// verifier; chip seeds are `experiment seed + NPE + i`, not
+/// trial-derived.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn npe_sweep(
+    runner: &TrialRunner,
+    levels: &[u64],
+    chips: usize,
+) -> Result<NpeSweepData, CoreError> {
+    const MFG: u16 = 0x7C01;
+    let seed = runner.experiment_seed();
+    let outcomes = runner.run(levels.len() * chips, |trial| {
+        let n_pe = levels[trial.index / chips];
+        let i = trial.index % chips;
+        let cfg = FlashmarkConfig::builder()
+            .n_pe(n_pe)
+            .replicas(7)
+            .t_pew(Micros::new(28.0))
+            .build()?;
+        let mut fab = Manufacturer::new(MFG, Msp430Variant::F5438, cfg.clone());
+        let verifier = Verifier::new(cfg, MFG);
+        let mut chip = fab.produce(seed + n_pe + i as u64, TestStatus::Accept)?;
+        let imprint_s = chip.flash.main().elapsed().get(); // dominated by the imprint
+        let seg = chip.flash.watermark_segment();
+        let genuine = verifier.verify(&mut chip.flash, seg)?.verdict == Verdict::Genuine;
+        Ok((genuine, imprint_s))
+    });
+    let outcomes = merge(outcomes)?;
+    let rows = levels
+        .iter()
+        .zip(outcomes.chunks(chips))
+        .map(|(&n_pe, per_level)| {
+            let passed = per_level.iter().filter(|&&(ok, _)| ok).count();
+            let imprint_s = per_level.last().map_or(0.0, |&(_, s)| s);
+            (n_pe, chips, passed, imprint_s)
+        })
+        .collect();
+    Ok(NpeSweepData { rows })
+}
+
+// ---------------------------------------------------------------- NAND ---
+
+/// Flashmark-on-NAND result.
+#[derive(Debug, Clone)]
+pub struct NandDemoData {
+    /// `(device, n_pe, imprint_s, post_vote_ber)` rows.
+    pub rows: Vec<(String, u64, f64, f64)>,
+}
+
+/// The conclusion's applicability claim: the identical
+/// [`Imprinter`]/[`Extractor`] code drives the MSP430 embedded NOR (chip
+/// `nor_seed`) and a simulated SLC NAND part (chip `nand_seed`, through
+/// [`NandWordAdapter`]) at each `NPE`, 7 replicas, `tPEW` = 28 µs.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn nand_demo(nor_seed: u64, nand_seed: u64, n_pes: &[u64]) -> Result<NandDemoData, CoreError> {
+    /// `(imprint_s, post_vote_ber)` of one imprint/extract round trip.
+    fn roundtrip<F: BulkStress>(
+        cfg: &FlashmarkConfig,
+        flash: &mut F,
+        seg: SegmentAddr,
+        wm: &Watermark,
+    ) -> Result<(f64, f64), CoreError> {
+        let report = Imprinter::new(cfg).imprint(flash, seg, wm)?;
+        let e = Extractor::new(cfg).extract(flash, seg, wm.len())?;
+        Ok((report.elapsed.get(), e.ber_against(wm)))
+    }
+
+    let wm = Watermark::from_ascii("NAND-TOO")?;
+    let mut rows = Vec::new();
+    for &n_pe in n_pes {
+        let cfg = FlashmarkConfig::builder()
+            .n_pe(n_pe)
+            .replicas(7)
+            .t_pew(Micros::new(28.0))
+            .build()?;
+        let mut nor = Msp430Flash::f5438(nor_seed);
+        let seg = nor.watermark_segment();
+        let (imprint_s, ber) = roundtrip(&cfg, &mut nor, seg, &wm)?;
+        rows.push(("MSP430 NOR".to_string(), n_pe, imprint_s, ber));
+        let mut nand = NandWordAdapter::new(NandChip::new(NandGeometry::tiny(), nand_seed));
+        let (imprint_s, ber) = roundtrip(&cfg, &mut nand, SegmentAddr::new(0), &wm)?;
+        rows.push(("SLC NAND".to_string(), n_pe, imprint_s, ber));
+    }
+    Ok(NandDemoData { rows })
+}
+
 // JSON serialization of the result structs (the offline replacement for
 // the former `#[derive(Serialize)]`).
 use crate::impl_to_json;
@@ -667,6 +959,19 @@ impl_to_json!(Table1Data { imprint, extract_s });
 impl_to_json!(EccAblationData { rows });
 impl_to_json!(ReadMajorityData { rows });
 impl_to_json!(RecycledProbeData { rows });
+impl_to_json!(DetectorComparisonData { rows });
+impl_to_json!(FamilyData {
+    per_chip,
+    recipe_t_pew_us,
+    recipe_window,
+    optimum_spread_us
+});
+impl_to_json!(TemperatureSweepData {
+    rows,
+    fixed_t_pew_rows
+});
+impl_to_json!(NpeSweepData { rows });
+impl_to_json!(NandDemoData { rows });
 
 #[cfg(test)]
 mod tests {

@@ -33,6 +33,12 @@ use crate::harness::test_chip;
 use crate::impl_to_json;
 use crate::suite::Profile;
 
+/// The seed of the committed fault and observability campaigns
+/// (`fault_campaign.json`, `obs_report.json`): the default of the
+/// `fault_campaign` and `obs_dump` bins and the seed of the suite's
+/// `fault_campaign` and `obs_report` entries.
+pub const CAMPAIGN_SEED: u64 = 42;
+
 const N_PE: u64 = 80_000;
 const REPLICAS: usize = 7;
 const T_PEW_US: f64 = 28.0;

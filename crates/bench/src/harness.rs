@@ -6,15 +6,22 @@ use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_physics::rng::SplitMix64;
 use flashmark_physics::PhysicsParams;
 
-pub use flashmark_par::{default_threads, Trial, TrialRunner};
+use flashmark_par::Trial;
 
 /// A fresh simulated MSP430-class flash controller with enough segments for
 /// a multi-stress-level experiment.
 #[must_use]
 pub fn test_chip(seed: u64) -> FlashController {
+    chip_with_segments(16, seed)
+}
+
+/// A fresh simulated MSP430-class flash controller with `segments`
+/// segments in a single bank.
+#[must_use]
+pub fn chip_with_segments(segments: u32, seed: u64) -> FlashController {
     let mut flash = FlashController::new(
         PhysicsParams::msp430_like(),
-        FlashGeometry::single_bank(16),
+        FlashGeometry::single_bank(segments),
         FlashTimings::msp430(),
         seed,
     );
@@ -30,27 +37,6 @@ pub fn test_chip(seed: u64) -> FlashController {
 #[must_use]
 pub fn trial_chip(trial: Trial) -> FlashController {
     test_chip(trial.seed)
-}
-
-/// Imprints `wm` into `seg` with `cycles` P/E cycles (closed-form fast
-/// path, accelerated-schedule timing).
-///
-/// # Errors
-///
-/// Flash errors.
-pub fn imprint_watermark(
-    flash: &mut FlashController,
-    seg: SegmentAddr,
-    wm: &Watermark,
-    replicas: usize,
-    cycles: u64,
-) -> Result<(), CoreError> {
-    let cfg = flashmark_core::FlashmarkConfig::builder()
-        .n_pe(cycles)
-        .replicas(replicas)
-        .build()?;
-    flashmark_core::Imprinter::new(&cfg).imprint(flash, seg, wm)?;
-    Ok(())
 }
 
 /// Uniformly stresses a whole segment by `cycles` (all cells programmed

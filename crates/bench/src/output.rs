@@ -103,12 +103,6 @@ pub fn write_json_in<T: ToJson>(dir: &Path, name: &str, value: &T) -> std::io::R
     Ok(path)
 }
 
-/// Formats a paper-vs-measured comparison line.
-#[must_use]
-pub fn compare_line(metric: &str, paper: f64, measured: f64, unit: &str) -> String {
-    compare_line_labeled(metric, ("paper", paper), ("measured", measured), unit)
-}
-
 /// Formats a comparison line with caller-chosen labels (e.g.
 /// `baseline` vs `current` for the perf gate).
 #[must_use]
@@ -152,12 +146,6 @@ mod tests {
         t.write_csv(&path).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
-    }
-
-    #[test]
-    fn compare_line_has_ratio() {
-        let line = compare_line("min BER @40K", 11.8, 10.0, "%");
-        assert!(line.contains("x0.85"));
     }
 
     #[test]

@@ -4,6 +4,7 @@ use flashmark::core::{Extractor, FlashmarkConfig, Imprinter, Watermark};
 use flashmark::msp430::Msp430Flash;
 use flashmark::nor::SegmentAddr;
 use flashmark::supply::{ScenarioConfig, SupplyChainScenario};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn pipeline(seed: u64) -> Vec<bool> {
     let mut chip = Msp430Flash::f5438(seed);
@@ -48,58 +49,67 @@ fn scenario_statistics_are_reproducible() {
     assert_eq!(format!("{s1}"), format!("{s2}"));
 }
 
+/// The wall-clock quarantine files: the only artifacts allowed to differ
+/// between runs.
+const TIMING_ARTIFACTS: [&str; 2] = ["obs_timings.json", "service_timings.json"];
+
+/// The deterministic artifacts (`.json`, `.jsonl`, `.prom`, `.csv`) in `dir`,
+/// by file name.
+fn deterministic_artifacts(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("results dir") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if path
+            .extension()
+            .is_some_and(|e| e == "json" || e == "jsonl" || e == "prom" || e == "csv")
+            && !TIMING_ARTIFACTS.contains(&name.as_str())
+        {
+            files.insert(name, std::fs::read(&path).expect("artifact"));
+        }
+    }
+    files
+}
+
 /// The parallel trial engine's core guarantee: a reduced-profile `run_all`
-/// produces byte-identical JSON, `.jsonl`, and `.prom` artifacts at 1
-/// worker thread (the exact legacy serial path) and at 8. The only
-/// exceptions are `obs_timings.json` and `service_timings.json`, which
-/// exist precisely to quarantine wall-clock measurements away from the
-/// deterministic artifacts.
+/// produces byte-identical JSON, `.jsonl`, `.prom`, and CSV artifacts at 1
+/// worker thread (the exact legacy serial path) and at 8, and writes every
+/// artifact the experiment table declares. The only exceptions are
+/// `obs_timings.json` and `service_timings.json`, which exist precisely to
+/// quarantine wall-clock measurements away from the deterministic
+/// artifacts. `run_all --only` then rewrites a subset of the table
+/// byte-identically, and writes nothing else.
 #[test]
 fn suite_json_artifacts_identical_across_thread_counts() {
-    use flashmark_bench::suite::{run_suite, Profile, SuiteOptions};
+    use flashmark_bench::suite::{
+        run_selected, run_suite, select, Profile, SuiteOptions, EXPERIMENTS,
+    };
 
     let base = std::env::temp_dir().join(format!("flashmark_determinism_{}", std::process::id()));
-    let mut artifacts: Vec<std::collections::BTreeMap<String, Vec<u8>>> = Vec::new();
+    let opts = |threads: usize, dir: &str| SuiteOptions {
+        threads,
+        profile: Profile::Smoke,
+        results_dir: base.join(dir),
+    };
+    let mut artifacts: Vec<BTreeMap<String, Vec<u8>>> = Vec::new();
     for threads in [1usize, 8] {
-        let dir = base.join(format!("threads_{threads}"));
-        let report = run_suite(&SuiteOptions {
-            threads,
-            profile: Profile::Smoke,
-            results_dir: dir.clone(),
-        })
-        .expect("suite I/O");
+        let opts = opts(threads, &format!("threads_{threads}"));
+        let report = run_suite(&opts).expect("suite I/O");
         assert!(
             report.failures().is_empty(),
             "smoke suite failed at {threads} thread(s): {:?}",
             report.failures()
         );
-        let mut files = std::collections::BTreeMap::new();
-        for entry in std::fs::read_dir(&dir).expect("results dir") {
-            let path = entry.expect("dir entry").path();
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            // The quarantine files for wall-clock data are the only
-            // deterministic-format artifacts allowed to differ.
-            if path
-                .extension()
-                .is_some_and(|e| e == "json" || e == "jsonl" || e == "prom")
-                && name != "obs_timings.json"
-                && name != "service_timings.json"
-            {
-                files.insert(name, std::fs::read(&path).expect("artifact"));
-            }
+        for artifact in EXPERIMENTS.iter().flat_map(|e| e.artifacts) {
+            assert!(
+                opts.results_dir.join(artifact).is_file(),
+                "suite did not write {artifact}"
+            );
         }
-        assert!(!files.is_empty(), "suite wrote no JSON artifacts");
-        assert!(
-            files.contains_key("obs_report.json"),
-            "suite did not write obs_report.json"
-        );
+        let files = deterministic_artifacts(&opts.results_dir);
         assert!(
             files.contains_key("trend_log.jsonl") && files.contains_key("trend_report.json"),
             "suite did not append the trend log and drift report"
-        );
-        assert!(
-            files.contains_key("service_metrics_smoke.prom"),
-            "suite did not write the metrics exposition"
         );
         artifacts.push(files);
     }
@@ -114,6 +124,21 @@ fn suite_json_artifacts_identical_across_thread_counts() {
             bytes, &parallel[name],
             "{name} differs between --threads 1 and --threads 8"
         );
+    }
+
+    let entries = select("fig11,nand_demo").expect("known names");
+    let only = opts(8, "only");
+    let report = run_selected(&only, &entries).expect("suite I/O");
+    assert!(report.failures().is_empty(), "{:?}", report.failures());
+    let written = deterministic_artifacts(&only.results_dir);
+    let declared: Vec<&str> = entries.iter().flat_map(|e| e.artifacts).copied().collect();
+    assert_eq!(
+        written.keys().map(String::as_str).collect::<BTreeSet<_>>(),
+        declared.into_iter().collect::<BTreeSet<_>>(),
+        "--only wrote a different artifact set"
+    );
+    for (name, bytes) in &written {
+        assert_eq!(bytes, &serial[name], "--only rewrote {name} differently");
     }
     let _ = std::fs::remove_dir_all(&base);
 }
