@@ -35,7 +35,7 @@ use flashmark_physics::{Micros, PhysicsParams};
 use flashmark_registry::{Record, RecordVerdict, Registry, RegistryOptions};
 use flashmark_reram::{ReramChip, ReramParams, ReramScheme, ReramWordAdapter};
 
-use crate::impl_to_json;
+use flashmark_registry::impl_to_json;
 
 /// Manufacturer ID every backend's enrollment carries.
 pub const BACKEND_MANUFACTURER: u16 = 0x7C02;
@@ -789,8 +789,8 @@ mod tests {
         let serial = run_backend_campaign(&BackendCampaignOptions::tiny(1)).expect("serial");
         let parallel = run_backend_campaign(&BackendCampaignOptions::tiny(8)).expect("parallel");
         assert_eq!(
-            crate::json::ToJson::to_json(&serial).pretty(),
-            crate::json::ToJson::to_json(&parallel).pretty()
+            flashmark_registry::json::ToJson::to_json(&serial).pretty(),
+            flashmark_registry::json::ToJson::to_json(&parallel).pretty()
         );
     }
 

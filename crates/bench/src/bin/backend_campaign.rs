@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use flashmark_bench::backend_campaign::{run_backend_campaign, BackendCampaignOptions};
-use flashmark_bench::output::{results_dir, write_json, Table};
+use flashmark_bench::output::{results_dir, write_json_in, Table};
 use flashmark_bench::trend::{append_and_report, backend_trend_record};
 use flashmark_par::threads_from_env_args;
 
@@ -80,10 +80,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let path = write_json(artifact, &data)?;
+    let dir = results_dir();
+    let path = write_json_in(&dir, artifact, &data)?;
     println!("wrote {}", path.display());
 
-    let dir = results_dir();
     let mut report = None;
     for summary in &data.schemes {
         report = Some(append_and_report(

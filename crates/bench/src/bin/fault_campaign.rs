@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 
 use flashmark_bench::fault_campaign::{fault_campaign, fault_campaign_trials, CAMPAIGN_SEED};
-use flashmark_bench::output::{write_json, Table};
+use flashmark_bench::output::{results_dir, write_json_in, Table};
 use flashmark_bench::suite::Profile;
 use flashmark_par::{threads_from_env_args, TrialRunner};
 
@@ -75,7 +75,7 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
     }
     println!("{}", table.render());
 
-    let path = write_json("fault_campaign", &data)?;
+    let path = write_json_in(&results_dir(), "fault_campaign", &data)?;
     eprintln!("wrote {}", path.display());
 
     if data.invariants_hold() {

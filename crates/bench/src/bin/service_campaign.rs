@@ -26,7 +26,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use flashmark_bench::output::{results_dir, write_json, Table};
+use flashmark_bench::output::{results_dir, write_json_in, Table};
 use flashmark_bench::service_campaign::{
     run_service_campaign, ServiceCampaignOptions, ServiceTimings,
 };
@@ -100,10 +100,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         data.registry_root, data.registry_records, data.registry_seals, data.duplicates
     );
 
-    let path = write_json(artifact, &data)?;
+    let dir = results_dir();
+    let path = write_json_in(&dir, artifact, &data)?;
     println!("wrote {}", path.display());
 
-    let dir = results_dir();
     let prom = dir.join(if smoke {
         "service_metrics_smoke.prom"
     } else {
@@ -127,7 +127,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         wall_s,
         requests_per_s: data.requests as f64 / wall_s.max(1e-9),
     };
-    let tpath = write_json("service_timings", &timings)?;
+    let tpath = write_json_in(&dir, "service_timings", &timings)?;
     println!(
         "wrote {} ({:.0} requests/s over {:.1} s)",
         tpath.display(),

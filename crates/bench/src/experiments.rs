@@ -920,7 +920,7 @@ pub fn nand_demo(nor_seed: u64, nand_seed: u64, n_pes: &[u64]) -> Result<NandDem
 
 // JSON serialization of the result structs (the offline replacement for
 // the former `#[derive(Serialize)]`).
-use crate::impl_to_json;
+use flashmark_registry::impl_to_json;
 impl_to_json!(Fig04Curve {
     kcycles,
     points,

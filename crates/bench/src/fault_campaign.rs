@@ -30,8 +30,8 @@ use flashmark_physics::Micros;
 use flashmark_sanitizer::{SanitizedFlash, ViolationKind};
 
 use crate::harness::test_chip;
-use crate::impl_to_json;
 use crate::suite::Profile;
+use flashmark_registry::impl_to_json;
 
 /// The seed of the committed fault and observability campaigns
 /// (`fault_campaign.json`, `obs_report.json`): the default of the

@@ -31,7 +31,6 @@ pub mod backend_campaign;
 pub mod experiments;
 pub mod fault_campaign;
 pub mod harness;
-pub mod json;
 pub mod microbench;
 pub mod observability;
 pub mod output;

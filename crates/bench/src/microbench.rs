@@ -16,7 +16,8 @@ use flashmark_nor::interface::{BulkStress, FlashInterface, ImprintTiming};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_physics::{Micros, PhysicsParams};
 
-use crate::impl_to_json;
+use flashmark_registry::impl_to_json;
+use flashmark_registry::json::{self, Json, ToJson as _};
 
 /// One benchmark group: a named collection of timed closures.
 #[derive(Debug)]
@@ -189,54 +190,25 @@ impl RuntimeReport {
     ///
     /// I/O errors.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        use crate::json::ToJson as _;
         std::fs::write(path, self.to_json().pretty())
     }
 
-    /// Parses a report previously written by [`RuntimeReport::write`]. The
-    /// parser is line-oriented and only understands this module's own
-    /// output shape, which is all the perf gate needs.
+    /// Parses a report previously written by [`RuntimeReport::write`].
     ///
     /// # Errors
     ///
     /// I/O errors, or `InvalidData` for a malformed file.
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
-        let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-        let mut entries = Vec::new();
-        let (mut name, mut wall_s): (Option<String>, Option<f64>) = (None, None);
-        let mut ops: Option<u64> = None;
-        let mut ns_per_op: Option<f64> = None;
-        for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if let Some(v) = line.strip_prefix("\"name\": ") {
-                name = Some(v.trim_matches('"').to_string());
-            } else if let Some(v) = line.strip_prefix("\"wall_s\": ") {
-                wall_s = Some(v.parse().map_err(|_| bad("bad wall_s"))?);
-            } else if let Some(v) = line.strip_prefix("\"ops\": ") {
-                // Optional: baselines written before the field existed (or
-                // uninstrumented entries) have no/`null` ops.
-                ops = match v {
-                    "null" => None,
-                    v => Some(v.parse().map_err(|_| bad("bad ops"))?),
-                };
-            } else if let Some(v) = line.strip_prefix("\"ns_per_op\": ") {
-                ns_per_op = match v {
-                    "null" => None,
-                    v => Some(v.parse().map_err(|_| bad("bad ns_per_op"))?),
-                };
-            } else if let Some(v) = line.strip_prefix("\"trials_per_s\": ") {
-                let trials_per_s = v.parse().map_err(|_| bad("bad trials_per_s"))?;
-                entries.push(RuntimeEntry {
-                    name: name.take().ok_or_else(|| bad("trials_per_s before name"))?,
-                    wall_s: wall_s.take().ok_or_else(|| bad("missing wall_s"))?,
-                    ops: ops.take(),
-                    ns_per_op: ns_per_op.take(),
-                    trials_per_s,
-                });
-            }
-        }
-        Ok(Self { entries })
+        let entries = json::parse(&text).and_then(|doc| {
+            let entries = doc.get("entries").and_then(Json::as_array);
+            let entries = entries.ok_or("missing `entries` array")?;
+            let entry = |(i, e)| runtime_entry(e).ok_or(format!("malformed entry {i}"));
+            entries.iter().enumerate().map(entry).collect()
+        });
+        entries
+            .map(|entries| Self { entries })
+            .map_err(|m| std::io::Error::new(std::io::ErrorKind::InvalidData, m))
     }
 
     /// Entries of `current` whose wall time regressed more than `factor`×
@@ -287,6 +259,30 @@ impl RuntimeReport {
             .map(|base| base.name.clone())
             .collect()
     }
+}
+
+/// Reads one [`RuntimeReport`] entry, `None` when it is malformed.
+/// `ops`/`ns_per_op` may be absent or `null` (baselines written before the
+/// fields existed, uninstrumented entries); a `null` `trials_per_s` is the
+/// infinite throughput of a zero-time entry.
+fn runtime_entry(e: &Json) -> Option<RuntimeEntry> {
+    let optional = |k: &str| e.get(k).filter(|v| **v != Json::Null);
+    Some(RuntimeEntry {
+        name: e.get("name")?.as_str()?.to_string(),
+        wall_s: e.get("wall_s")?.as_f64()?,
+        ops: match optional("ops") {
+            Some(v) => Some(v.as_u64()?),
+            None => None,
+        },
+        ns_per_op: match optional("ns_per_op") {
+            Some(v) => Some(v.as_f64()?),
+            None => None,
+        },
+        trials_per_s: match e.get("trials_per_s")? {
+            Json::Null => f64::INFINITY,
+            v => v.as_f64()?,
+        },
+    })
 }
 
 /// Runs the segment-kernel micro-benchmarks and reports them as
@@ -549,6 +545,36 @@ mod tests {
             regs[0]
         );
         assert!(loaded.regressions(&current, 4.0, "kernel/").is_empty());
+    }
+
+    #[test]
+    fn zero_time_entries_roundtrip() {
+        let mut report = RuntimeReport::new();
+        report.push("k", 0.0, 10);
+        assert!(report.entries[0].trials_per_s.is_infinite());
+        let path = std::env::temp_dir().join(format!("rt_zero_{}.json", std::process::id()));
+        report.write(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let loaded = RuntimeReport::load(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(text.contains("\"trials_per_s\": null"), "{text}");
+        assert_eq!(loaded.unwrap(), report);
+    }
+
+    #[test]
+    fn malformed_reports_are_invalid_data() {
+        let path = std::env::temp_dir().join(format!("rt_bad_{}.json", std::process::id()));
+        for bad in [
+            "{\"entries\": [{\"name\": \"k\"}]}",
+            "{\"entries\": [{\"name\": \"k\", \"wall_s\": 1.0}]}",
+            "{\"entries\": 3}",
+            "[",
+        ] {
+            std::fs::write(&path, bad).unwrap();
+            let err = RuntimeReport::load(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -22,8 +22,8 @@ use flashmark_obs::run_instrumented;
 use flashmark_par::TrialRunner;
 
 use crate::fault_campaign::{fault_grid, run_trial, trials_per_cell, SCENARIOS};
-use crate::impl_to_json;
 use crate::suite::Profile;
+use flashmark_registry::impl_to_json;
 
 /// One merged `(group, name)` counter of the campaign aggregate.
 #[derive(Debug, Clone, PartialEq, Eq)]

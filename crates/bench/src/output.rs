@@ -4,7 +4,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::json::ToJson;
+use flashmark_registry::json::ToJson;
 
 /// Directory experiment artifacts are written into.
 #[must_use]
@@ -78,15 +78,6 @@ impl Table {
         }
         Ok(())
     }
-}
-
-/// Serializes an experiment result as pretty JSON into the results dir.
-///
-/// # Errors
-///
-/// I/O or serialization errors.
-pub fn write_json<T: ToJson>(name: &str, value: &T) -> std::io::Result<PathBuf> {
-    write_json_in(&results_dir(), name, value)
 }
 
 /// Serializes an experiment result as pretty JSON into an explicit

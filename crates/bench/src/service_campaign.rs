@@ -19,7 +19,7 @@ use flashmark_physics::rng::mix2;
 use flashmark_registry::RegistryOptions;
 use flashmark_serve::{PopulationSpec, ServiceConfig, VerificationService, VerifyRequest};
 
-use crate::impl_to_json;
+use flashmark_registry::impl_to_json;
 
 /// Manufacturer ID the campaign verifier trusts.
 pub const CAMPAIGN_MANUFACTURER: u16 = 0x7C01;

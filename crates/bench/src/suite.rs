@@ -34,14 +34,14 @@ use crate::experiments::{
     BerSeries, Fig11Data,
 };
 use crate::fault_campaign::{fault_campaign, fault_campaign_trials, CAMPAIGN_SEED};
-use crate::impl_to_json;
-use crate::json::{Json, ToJson};
 use crate::microbench::kernel_suite;
 use crate::observability::{obs_campaign, obs_campaign_trials};
 use crate::output::{write_json_in, Table};
 use crate::paper;
 use crate::service_campaign::ServiceCampaignData;
 use crate::trend::{append_and_report, suite_record};
+use flashmark_registry::impl_to_json;
+use flashmark_registry::json::{Json, ToJson};
 
 /// How much work the suite does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

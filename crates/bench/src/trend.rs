@@ -23,11 +23,9 @@ use std::path::Path;
 use flashmark_registry::Digest64;
 use flashmark_trend::{
     append_to_log, compute_drift, DriftOptions, DriftReport, TrendLog, TrendRecord,
-    TREND_FORMAT_VERSION,
 };
 
 use crate::backend_campaign::{BackendCampaignData, BackendSchemeSummary};
-use crate::impl_to_json;
 use crate::microbench::RuntimeReport;
 use crate::output::write_json_in;
 use crate::service_campaign::ServiceCampaignData;
@@ -150,73 +148,6 @@ pub fn perf_record(report: &RuntimeReport) -> TrendRecord {
     record
 }
 
-/// One drift-gate group in the `trend_report.json` artifact.
-#[derive(Debug, Clone)]
-pub struct DriftCheckRow {
-    /// Campaign kind.
-    pub kind: String,
-    /// Params digest (hex) of the group.
-    pub params: String,
-    /// Campaign seed of the group.
-    pub seed: u64,
-    /// Comparable runs in the group.
-    pub runs: u64,
-}
-impl_to_json!(DriftCheckRow {
-    kind,
-    params,
-    seed,
-    runs
-});
-
-/// The `trend_report.json` artifact: the drift gates evaluated over the
-/// verified trend log.
-#[derive(Debug, Clone)]
-pub struct TrendReportData {
-    /// Trend-log format version the report was computed against.
-    pub format: u32,
-    /// Records in the log.
-    pub records: u64,
-    /// Whether every detection gate held (warnings never gate).
-    pub passed: bool,
-    /// Detection-drift failures.
-    pub failures: Vec<String>,
-    /// Advisory perf-drift warnings.
-    pub warnings: Vec<String>,
-    /// The groups that were evaluated.
-    pub checks: Vec<DriftCheckRow>,
-}
-impl_to_json!(TrendReportData {
-    format,
-    records,
-    passed,
-    failures,
-    warnings,
-    checks
-});
-
-/// Renders a [`DriftReport`] into the artifact struct.
-#[must_use]
-pub fn report_data(report: &DriftReport) -> TrendReportData {
-    TrendReportData {
-        format: TREND_FORMAT_VERSION,
-        records: report.records,
-        passed: report.passed(),
-        failures: report.failures.clone(),
-        warnings: report.warnings.clone(),
-        checks: report
-            .checks
-            .iter()
-            .map(|c| DriftCheckRow {
-                kind: c.kind.clone(),
-                params: c.params.clone(),
-                seed: c.seed,
-                runs: c.runs,
-            })
-            .collect(),
-    }
-}
-
 /// Appends `record` to `<dir>/trend_log.jsonl` (verifying the existing
 /// chain first), recomputes the drift report over the extended log, and
 /// rewrites `<dir>/trend_report.json`.
@@ -230,7 +161,7 @@ pub fn append_and_report(dir: &Path, record: TrendRecord) -> io::Result<DriftRep
     append_to_log(&log_path, record)?;
     let log = TrendLog::load(&log_path)?;
     let report = compute_drift(&log, &DriftOptions::default());
-    write_json_in(dir, TREND_REPORT_NAME, &report_data(&report))?;
+    write_json_in(dir, TREND_REPORT_NAME, &report)?;
     Ok(report)
 }
 

@@ -9,54 +9,25 @@ use std::path::Path;
 use flashmark_bench::experiments::fig05;
 use flashmark_par::TrialRunner;
 use flashmark_physics::Micros;
-
-/// Line-oriented reader for the committed artifact — the same shape
-/// `Json::pretty` writes, which is all this test needs to understand.
-fn field(text: &str, name: &str) -> f64 {
-    let needle = format!("\"{name}\": ");
-    text.lines()
-        .find_map(|line| line.trim().strip_prefix(&needle))
-        .unwrap_or_else(|| panic!("field {name:?} missing from fig05.json"))
-        .trim_end_matches(',')
-        .parse()
-        .unwrap_or_else(|_| panic!("field {name:?} is not a number"))
-}
-
-/// The two bare numbers of the `programmed_at_t_pew` array.
-fn programmed_pair(text: &str) -> (usize, usize) {
-    let nums: Vec<usize> = text
-        .lines()
-        .skip_while(|l| !l.contains("programmed_at_t_pew"))
-        .skip(1)
-        .map_while(|l| l.trim().trim_end_matches(',').parse().ok())
-        .collect();
-    assert_eq!(nums.len(), 2, "programmed_at_t_pew must hold two counts");
-    (nums[0], nums[1])
-}
+use flashmark_registry::json::{self, Json, ToJson as _};
 
 #[test]
 fn fig05_extraction_matches_committed_golden_vector() {
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fig05.json");
     let text = std::fs::read_to_string(&committed)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", committed.display()));
+    let doc = json::parse(&text).expect("fig05.json parses");
+    let t_pew_us = doc.get("t_pew_us").and_then(Json::as_f64);
+    let t_pew_us = t_pew_us.expect("fig05.json records its t_pew_us");
 
     // The exact suite invocation: seed 0xF1605, 50 kcycle stress, the
     // paper's 23 µs operating point. Serial runner — fig05 is one trial, so
     // the thread count is irrelevant, but pinning it keeps this test
     // independent of machine parallelism by construction.
     let runner = TrialRunner::with_threads(0xF1605, 1);
-    let f5 = fig05(&runner, 50.0, Micros::new(field(&text, "t_pew_us"))).unwrap();
+    let f5 = fig05(&runner, 50.0, Micros::new(t_pew_us)).unwrap();
 
-    assert_eq!(f5.t_pew_us.to_bits(), field(&text, "t_pew_us").to_bits());
-    assert_eq!(f5.distinguishable as f64, field(&text, "distinguishable"));
-    assert_eq!(f5.total as f64, field(&text, "total"));
-    assert_eq!(
-        f5.best_t_pew_us.to_bits(),
-        field(&text, "best_t_pew_us").to_bits()
-    );
-    assert_eq!(
-        f5.best_distinguishable as f64,
-        field(&text, "best_distinguishable")
-    );
-    assert_eq!(f5.programmed_at_t_pew, programmed_pair(&text));
+    // Every field, compared as parsed values: floats exactly, counts as
+    // exact integers.
+    assert_eq!(f5.to_json(), doc);
 }

@@ -12,7 +12,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
+
+use flashmark_registry::impl_to_json;
+use flashmark_registry::json::{self, Json, ToJson};
 
 /// Every rule family the engine knows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -181,46 +183,35 @@ impl Report {
     /// Serializes the report as deterministic pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
+        let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
         for f in &self.findings {
             *counts.entry(f.rule.name()).or_insert(0) += 1;
         }
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"flashmark-lint/1\",\n");
-        let _ = writeln!(out, "  \"files_checked\": {},", self.files_checked);
-        let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
-        let _ = writeln!(out, "  \"baselined\": {},", self.baselined);
-        out.push_str("  \"rule_counts\": {");
-        for (i, (rule, n)) in counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{rule}\": {n}");
-        }
-        if counts.is_empty() {
-            out.push_str("},\n");
-        } else {
-            out.push_str("\n  },\n");
-        }
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            let _ = write!(out, " \"rule\": {},", json_string(f.rule.name()));
-            let _ = write!(out, " \"file\": {},", json_string(&f.file));
-            let _ = write!(out, " \"line\": {},", f.line);
-            let _ = write!(out, " \"message\": {} }}", json_string(&f.message));
-        }
-        if self.findings.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
-        }
-        out
+        let counts = counts.into_iter().map(|(r, n)| (r.into(), n.to_json()));
+        let doc = Json::Obj(vec![
+            ("schema".into(), "flashmark-lint/1".to_json()),
+            ("files_checked".into(), self.files_checked.to_json()),
+            ("suppressed".into(), self.suppressed.to_json()),
+            ("baselined".into(), self.baselined.to_json()),
+            ("rule_counts".into(), Json::Obj(counts.collect())),
+            ("findings".into(), self.findings.to_json()),
+        ]);
+        format!("{}\n", doc.pretty())
     }
 }
+
+impl ToJson for Rule {
+    fn to_json(&self) -> Json {
+        Json::Str(self.name().to_string())
+    }
+}
+
+impl_to_json!(Finding {
+    rule,
+    file,
+    line,
+    message
+});
 
 /// One accepted finding in the committed baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,288 +224,46 @@ pub struct BaselineEntry {
     pub message: String,
 }
 
+impl_to_json!(BaselineEntry {
+    rule,
+    file,
+    message
+});
+
 /// Serializes a baseline document.
 #[must_use]
 pub fn baseline_to_json(entries: &[BaselineEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"flashmark-lint-baseline/1\",\n  \"entries\": [");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(out, " \"rule\": {},", json_string(&e.rule));
-        let _ = write!(out, " \"file\": {},", json_string(&e.file));
-        let _ = write!(out, " \"message\": {} }}", json_string(&e.message));
-    }
-    if entries.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
+    let doc = Json::Obj(vec![
+        ("schema".into(), "flashmark-lint-baseline/1".to_json()),
+        ("entries".into(), entries.to_json()),
+    ]);
+    format!("{}\n", doc.pretty())
 }
 
-/// Parses a baseline document. Returns an error string on malformed input
-/// so the gate fails loudly rather than silently accepting everything.
+/// Parses a baseline document.
+///
+/// # Errors
+///
+/// A message for malformed input, so the gate fails loudly rather than
+/// silently accepting everything.
 pub fn baseline_from_json(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    let value = json::parse(text)?;
-    let obj = value.as_object().ok_or("baseline root must be an object")?;
-    let entries = obj
-        .iter()
-        .find(|(k, _)| k == "entries")
-        .map(|(_, v)| v)
-        .ok_or("baseline missing `entries`")?;
-    let arr = entries.as_array().ok_or("`entries` must be an array")?;
-    let mut out = Vec::with_capacity(arr.len());
-    for item in arr {
-        let e = item.as_object().ok_or("baseline entry must be an object")?;
-        let get = |key: &str| -> Result<String, String> {
-            e.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_str().map(str::to_string))
+    let doc = json::parse(text)?;
+    let entries = doc.get("entries").and_then(Json::as_array);
+    let entries = entries.ok_or("baseline missing `entries` array")?;
+    let entry = |e: &Json| {
+        let get = |key: &str| {
+            e.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
                 .ok_or_else(|| format!("baseline entry missing string `{key}`"))
         };
-        out.push(BaselineEntry {
+        Ok(BaselineEntry {
             rule: get("rule")?,
             file: get("file")?,
             message: get("message")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Escapes a string into a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal recursive-descent JSON parser — just enough to read the
-/// baseline document back in an offline build (no serde available).
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number (f64 precision is plenty for line counts).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object with source-ordered keys.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The string payload, if this is a string.
-        #[must_use]
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Self::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The element list, if this is an array.
-        #[must_use]
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Self::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        /// The key/value list, if this is an object.
-        #[must_use]
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Self::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let chars: Vec<char> = text.chars().collect();
-        let mut p = Parser { chars, pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.chars.len() {
-            return Err(format!("trailing characters at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser {
-        chars: Vec<char>,
-        pos: usize,
-    }
-
-    impl Parser {
-        fn peek(&self) -> Option<char> {
-            self.chars.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while self.peek().is_some_and(char::is_whitespace) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, c: char) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{c}` at offset {}", self.pos))
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            for c in word.chars() {
-                self.expect(c)?;
-            }
-            Ok(value)
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some('{') => self.object(),
-                Some('[') => self.array(),
-                Some('"') => self.string().map(Value::Str),
-                Some('t') => self.literal("true", Value::Bool(true)),
-                Some('f') => self.literal("false", Value::Bool(false)),
-                Some('n') => self.literal("null", Value::Null),
-                Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?} at offset {}", self.pos)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect('{')?;
-            let mut out = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some('}') {
-                self.pos += 1;
-                return Ok(Value::Obj(out));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(':')?;
-                let val = self.value()?;
-                out.push((key, val));
-                self.skip_ws();
-                match self.peek() {
-                    Some(',') => self.pos += 1,
-                    Some('}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(out));
-                    }
-                    other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect('[')?;
-            let mut out = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(']') {
-                self.pos += 1;
-                return Ok(Value::Arr(out));
-            }
-            loop {
-                out.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(',') => self.pos += 1,
-                    Some(']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(out));
-                    }
-                    other => return Err(format!("expected `,` or `]`, got {other:?}")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect('"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some('"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some('\\') => {
-                        self.pos += 1;
-                        let esc = self.peek().ok_or("dangling escape")?;
-                        self.pos += 1;
-                        match esc {
-                            'n' => out.push('\n'),
-                            'r' => out.push('\r'),
-                            't' => out.push('\t'),
-                            'u' => {
-                                let hex: String = self.chars
-                                    [self.pos..(self.pos + 4).min(self.chars.len())]
-                                    .iter()
-                                    .collect();
-                                let code = u32::from_str_radix(&hex, 16)
-                                    .map_err(|e| format!("bad \\u escape: {e}"))?;
-                                self.pos += 4;
-                                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            }
-                            other => out.push(other),
-                        }
-                    }
-                    Some(c) => {
-                        self.pos += 1;
-                        out.push(c);
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while self
-                .peek()
-                .is_some_and(|c| c.is_ascii_digit() || "-+.eE".contains(c))
-            {
-                self.pos += 1;
-            }
-            let text: String = self.chars[start..self.pos].iter().collect();
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
-        }
-    }
+        })
+    };
+    entries.iter().map(entry).collect()
 }
 
 #[cfg(test)]
@@ -546,10 +295,20 @@ mod tests {
         let one = r.to_json();
         let two = r.to_json();
         assert_eq!(one, two);
-        let a1 = one.find("\"a.rs\", \"line\": 1").unwrap();
-        let a3 = one.find("\"a.rs\", \"line\": 3").unwrap();
-        let b9 = one.find("\"b.rs\"").unwrap();
-        assert!(a1 < a3 && a3 < b9);
+        let doc = json::parse(&one).unwrap();
+        let order: Vec<(&str, u64)> = doc
+            .get("findings")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|f| {
+                (
+                    f.get("file").and_then(Json::as_str).unwrap(),
+                    f.get("line").and_then(Json::as_u64).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(order, [("a.rs", 1), ("a.rs", 3), ("b.rs", 9)]);
         assert!(one.contains("\"panic-free\": 2"));
         assert!(one.ends_with("}\n"));
     }
@@ -621,14 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn mini_json_parses_nested_documents() {
-        let v = json::parse(r#"{"a": [1, 2.5, "s"], "b": {"c": true, "d": null}}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj[0].0, "a");
-        let arr = obj[0].1.as_array().unwrap();
-        assert_eq!(arr[2].as_str(), Some("s"));
-        assert!(json::parse("{").is_err());
-        assert!(json::parse("[1,]").is_err());
-        assert!(json::parse("1 2").is_err());
+    fn hostile_baselines_are_errors() {
+        assert!(baseline_from_json(&"[".repeat(200_000)).is_err());
+        assert!(baseline_from_json("{\"entries\": [{\"rule\": 1}]}").is_err());
+        assert!(baseline_from_json("{\"entries\": {}}").is_err());
+        assert_eq!(baseline_from_json("{\"entries\": []}"), Ok(vec![]));
     }
 }

@@ -21,8 +21,9 @@
 //! * [`finding`] — findings, the deterministic JSON report
 //!   (`results/lint_report.json`), and the committed baseline.
 //!
-//! The engine is plain `std`, fully offline, and deterministic: the same
-//! sources produce a byte-identical report on every run.
+//! The engine is plain `std` plus the workspace's JSON codec
+//! (`flashmark_registry::json`), fully offline, and deterministic: the
+//! same sources produce a byte-identical report on every run.
 //!
 //! # Example
 //!

@@ -22,6 +22,9 @@
 //!   pointwise `BTreeMap` addition, order-independent across shard
 //!   interleavings.
 //!
+//! It also hosts the workspace's one JSON codec, [`json`]: every artifact,
+//! report, baseline and trend line is rendered and re-read through it.
+//!
 //! The crate is dependency-free (pure `std`): the serving layer
 //! (`flashmark-serve`) maps core verdicts into records, and the bench
 //! layer drives million-request campaigns against it.
@@ -56,11 +59,13 @@
 //! ```
 
 pub mod digest;
+pub mod json;
 pub mod record;
 pub mod stats;
 pub mod store;
 
 pub use digest::Digest64;
-pub use record::{json_string, Record, RecordVerdict, SealedRecord};
+pub use json::json_string;
+pub use record::{Record, RecordVerdict, SealedRecord};
 pub use stats::ServiceStats;
 pub use store::{AppendOutcome, Registry, RegistryOptions, Seal, REGISTRY_FORMAT_VERSION};

@@ -7,6 +7,7 @@
 //! digest (and the golden-schema test fails loudly).
 
 use crate::digest::Digest64;
+use crate::json::json_string;
 
 /// Verdict class of a registry record.
 ///
@@ -144,29 +145,6 @@ fn payload_line(seq: u64, r: &Record) -> String {
         embed_json(&r.params),
         embed_json(&r.metrics),
     )
-}
-
-/// Escapes a string as a JSON string literal.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    use core::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Embeds a pre-canonicalized JSON fragment, falling back to `null` for an

@@ -35,6 +35,8 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
+use flashmark_registry::impl_to_json;
+use flashmark_registry::json::{self, Json, ToJson};
 use flashmark_registry::Digest64;
 
 /// Trend-log schema version (bumped on any canonical-line change).
@@ -82,42 +84,25 @@ impl TrendRecord {
     /// seq/chain framing) — the bytes the content digest covers.
     #[must_use]
     pub fn canonical_line(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"kind\":\"{}\",\"build\":\"{}\",\"seed\":{},\"params\":\"{}\"",
-            self.kind, self.build, self.seed, self.params
-        );
-        out.push_str(",\"verdict_mix\":{");
-        for (i, ((class, verdict), n)) in self.verdict_mix.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{class}/{verdict}\":{n}");
-        }
-        out.push('}');
-        match self.flips {
-            Some(n) => {
-                let _ = write!(out, ",\"flips\":{n}");
-            }
-            None => out.push_str(",\"flips\":null"),
-        }
-        match self.ops {
-            Some(n) => {
-                let _ = write!(out, ",\"ops\":{n}");
-            }
-            None => out.push_str(",\"ops\":null"),
-        }
-        out.push_str(",\"perf\":{");
-        for (i, (name, v)) in self.perf.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{v}");
-        }
-        out.push_str("}}");
-        out
+        Json::Obj(self.fields()).compact()
+    }
+
+    /// The payload fields in canonical order.
+    fn fields(&self) -> Vec<(String, Json)> {
+        let mix = self.verdict_mix.iter();
+        let mix = mix.map(|((class, verdict), n)| (format!("{class}/{verdict}"), Json::UInt(*n)));
+        let perf = self.perf.iter();
+        let perf = perf.map(|(name, v)| (name.clone(), Json::Num(*v)));
+        vec![
+            ("kind".into(), self.kind.to_json()),
+            ("build".into(), self.build.to_json()),
+            ("seed".into(), self.seed.to_json()),
+            ("params".into(), self.params.to_json()),
+            ("verdict_mix".into(), Json::Obj(mix.collect())),
+            ("flips".into(), self.flips.to_json()),
+            ("ops".into(), self.ops.to_json()),
+            ("perf".into(), Json::Obj(perf.collect())),
+        ]
     }
 
     /// This record's content digest: FNV-1a over the canonical line.
@@ -346,172 +331,66 @@ pub fn append_to_log(path: &Path, record: TrendRecord) -> std::io::Result<u64> {
     Ok(seq)
 }
 
-/// Frames one record as its log line: `{"seq":N,"chain":"hex",` spliced
-/// onto the record's canonical payload.
+/// Frames one record as its log line: `seq` and `chain` followed by the
+/// record's canonical payload fields.
 fn framed_line(seq: u64, chain: Digest64, record: &TrendRecord) -> String {
-    let payload = record.canonical_line();
-    format!(
-        "{{\"seq\":{seq},\"chain\":\"{chain}\",{}",
-        &payload[1..] // drop the payload's opening brace
-    )
+    let mut fields = vec![
+        ("seq".into(), Json::UInt(seq)),
+        ("chain".into(), Json::Str(chain.to_hex())),
+    ];
+    fields.extend(record.fields());
+    Json::Obj(fields).compact()
 }
 
-// ------------------------------------------------------------ parsing ----
-
-/// A cursor over one canonical log line. The grammar is exactly what
-/// [`framed_line`] emits — fixed field order, no escapes, flat maps — so a
-/// few hundred bytes of hand-rolled scanning replace a JSON dependency the
-/// offline workspace cannot have. The chain digest, not the parser,
-/// guards integrity.
-struct Cursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(line: &'a str) -> Self {
-        Self { rest: line }
-    }
-
-    /// Consumes an exact literal.
-    fn lit(&mut self, lit: &str) -> Result<(), String> {
-        self.rest = self
-            .rest
-            .strip_prefix(lit)
-            .ok_or_else(|| format!("expected {lit:?} at {:?}", truncated(self.rest)))?;
-        Ok(())
-    }
-
-    /// Consumes up to (not including) `stop`.
-    fn until(&mut self, stop: char) -> Result<&'a str, String> {
-        let idx = self
-            .rest
-            .find(stop)
-            .ok_or_else(|| format!("missing {stop:?} after {:?}", truncated(self.rest)))?;
-        let (head, tail) = self.rest.split_at(idx);
-        self.rest = tail;
-        Ok(head)
-    }
-
-    /// Consumes a decimal u64 (stops at the first non-digit).
-    fn u64_val(&mut self) -> Result<u64, String> {
-        let digits = self.rest.len()
-            - self
-                .rest
-                .trim_start_matches(|c: char| c.is_ascii_digit())
-                .len();
-        let (head, tail) = self.rest.split_at(digits);
-        self.rest = tail;
-        head.parse()
-            .map_err(|_| format!("bad number at {:?}", truncated(head)))
-    }
-
-    /// Consumes `null` or a decimal u64.
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        if let Some(tail) = self.rest.strip_prefix("null") {
-            self.rest = tail;
-            return Ok(None);
-        }
-        self.u64_val().map(Some)
-    }
-
-    /// Consumes a `"quoted"` string (no escapes in this grammar).
-    fn string_val(&mut self) -> Result<&'a str, String> {
-        self.lit("\"")?;
-        let s = self.until('"')?;
-        self.lit("\"")?;
-        Ok(s)
-    }
-
-    /// Consumes a flat `{"key":scalar,...}` object, handing each raw
-    /// `(key, value_text)` pair to `put`.
-    fn flat_object(
-        &mut self,
-        mut put: impl FnMut(&'a str, &'a str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.lit("{")?;
-        if self.rest.starts_with('}') {
-            return self.lit("}");
-        }
-        loop {
-            let key = self.string_val()?;
-            self.lit(":")?;
-            let end = self
-                .rest
-                .find([',', '}'])
-                .ok_or_else(|| format!("unterminated object at {:?}", truncated(self.rest)))?;
-            let (value, tail) = self.rest.split_at(end);
-            self.rest = tail;
-            put(key, value)?;
-            if self.rest.starts_with('}') {
-                return self.lit("}");
-            }
-            self.lit(",")?;
-        }
-    }
-}
-
-fn truncated(s: &str) -> &str {
-    &s[..s.len().min(24)]
-}
-
-/// Parses one framed log line into `(seq, chain, record)`.
+/// Parses one framed log line into `(seq, chain, record)`. The line must
+/// be exactly what [`framed_line`] writes for the record it decodes to, so
+/// the bytes on disk are the bytes the chain covers.
 fn parse_line(line: &str) -> Result<(u64, Digest64, TrendRecord), String> {
-    let mut c = Cursor::new(line);
-    c.lit("{\"seq\":")?;
-    let seq = c.u64_val()?;
-    c.lit(",\"chain\":")?;
-    let chain = Digest64::from_hex(c.string_val()?).ok_or("bad chain digest")?;
-    c.lit(",\"kind\":")?;
-    let kind = c.string_val()?.to_string();
-    c.lit(",\"build\":")?;
-    let build = c.string_val()?.to_string();
-    c.lit(",\"seed\":")?;
-    let seed = c.u64_val()?;
-    c.lit(",\"params\":")?;
-    let params = c.string_val()?.to_string();
-    c.lit(",\"verdict_mix\":")?;
+    let doc = json::parse(line)?;
+    let bad = |key: &str| format!("missing or mistyped `{key}`");
+    let text = |key: &str| doc.get(key).and_then(Json::as_str).ok_or_else(|| bad(key));
+    let count = |key: &str| doc.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
+    let maybe_count = |key: &str| match doc.get(key) {
+        Some(Json::Null) => Ok(None),
+        v => v.and_then(Json::as_u64).map(Some).ok_or_else(|| bad(key)),
+    };
+    let object = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_object)
+            .ok_or_else(|| bad(key))
+    };
     let mut verdict_mix = BTreeMap::new();
-    c.flat_object(|key, value| {
-        let (class, verdict) = key
-            .split_once('/')
-            .ok_or_else(|| format!("verdict_mix key without '/': {key:?}"))?;
-        let n: u64 = value
-            .parse()
-            .map_err(|_| format!("bad verdict_mix count {value:?}"))?;
+    for (key, n) in object("verdict_mix")? {
+        let (class, verdict) = key.split_once('/').ok_or_else(|| bad(key))?;
+        let n = n.as_u64().ok_or_else(|| bad(key))?;
         verdict_mix.insert((class.to_string(), verdict.to_string()), n);
-        Ok(())
-    })?;
-    c.lit(",\"flips\":")?;
-    let flips = c.opt_u64()?;
-    c.lit(",\"ops\":")?;
-    let ops = c.opt_u64()?;
-    c.lit(",\"perf\":")?;
-    let mut perf = BTreeMap::new();
-    c.flat_object(|key, value| {
-        let v: f64 = value
-            .parse()
-            .map_err(|_| format!("bad perf value {value:?}"))?;
-        perf.insert(key.to_string(), v);
-        Ok(())
-    })?;
-    c.lit("}")?;
-    if !c.rest.is_empty() {
-        return Err(format!("trailing bytes: {:?}", truncated(c.rest)));
     }
-    Ok((
-        seq,
-        chain,
-        TrendRecord {
-            kind,
-            build,
-            seed,
-            params,
-            verdict_mix,
-            flips,
-            ops,
-            perf,
-        },
-    ))
+    let mut perf = BTreeMap::new();
+    for (name, v) in object("perf")? {
+        // A non-finite throughput is written as `null`.
+        let v = if *v == Json::Null {
+            Some(f64::INFINITY)
+        } else {
+            v.as_f64()
+        };
+        perf.insert(name.clone(), v.ok_or_else(|| bad(name))?);
+    }
+    let seq = count("seq")?;
+    let chain = Digest64::from_hex(text("chain")?).ok_or("bad chain digest")?;
+    let record = TrendRecord {
+        kind: text("kind")?.to_string(),
+        build: text("build")?.to_string(),
+        seed: count("seed")?,
+        params: text("params")?.to_string(),
+        verdict_mix,
+        flips: maybe_count("flips")?,
+        ops: maybe_count("ops")?,
+        perf,
+    };
+    if framed_line(seq, chain, &record) != line {
+        return Err("line is not in canonical form".to_string());
+    }
+    Ok((seq, chain, record))
 }
 
 // -------------------------------------------------------- drift gates ----
@@ -566,6 +445,27 @@ impl DriftReport {
     #[must_use]
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
+    }
+}
+
+impl_to_json!(DriftCheck {
+    kind,
+    params,
+    seed,
+    runs
+});
+
+impl ToJson for DriftReport {
+    /// The `trend_report.json` artifact.
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("format".into(), TREND_FORMAT_VERSION.to_json()),
+            ("records".into(), self.records.to_json()),
+            ("passed".into(), self.passed().to_json()),
+            ("failures".into(), self.failures.to_json()),
+            ("warnings".into(), self.warnings.to_json()),
+            ("checks".into(), self.checks.to_json()),
+        ])
     }
 }
 
@@ -707,6 +607,39 @@ mod tests {
     }
 
     #[test]
+    fn hostile_bytes_are_parse_errors() {
+        // Multibyte characters right where a truncated error excerpt used
+        // to slice, at every alignment.
+        for pad in ["", "a", "ab", "abc"] {
+            let line = format!("{{\"seq\":0,{pad}{}", "é".repeat(20));
+            assert!(matches!(
+                TrendLog::parse(&line),
+                Err(TrendError::Parse(1, _))
+            ));
+        }
+        assert!(TrendLog::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn non_canonical_lines_are_rejected() {
+        let mut log = TrendLog::new();
+        log.append(record("suite", 1, &[("genuine", "accept", 5)]));
+        let text = log.contents();
+        assert!(TrendLog::parse(&text.replace(',', ", ")).is_err());
+        assert!(TrendLog::parse(&text.replace("\"seed\":1", "\"seed\":1.0")).is_err());
+    }
+
+    #[test]
+    fn committed_log_rerenders_byte_for_byte() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/trend_log.jsonl");
+        let text = std::fs::read_to_string(path).unwrap();
+        let log = TrendLog::parse(&text).expect("committed trend log verifies");
+        assert_eq!(log.len(), text.lines().count() as u64);
+        assert!(log.len() >= 14);
+        assert_eq!(log.contents(), text);
+    }
+
+    #[test]
     fn append_to_log_extends_the_file_incrementally() {
         let dir = std::env::temp_dir().join(format!("flashmark_trend_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -835,5 +768,36 @@ mod tests {
         let report = compute_drift(&log, &DriftOptions::default());
         assert!(report.passed());
         assert_eq!(report.checks.len(), 2);
+    }
+
+    /// A string mixing the characters the canonical line must escape.
+    fn awkward(g: &mut proptest::Gen) -> String {
+        const PIECES: [&str; 6] = ["k", "\"", "\\", "\n", "é", "\u{1}"];
+        (0..g.next_u64() % 6)
+            .map(|_| PIECES[(g.next_u64() % 6) as usize])
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Records whose build, kind and perf names need escaping survive
+        /// append → serialize → parse with the chain intact.
+        #[test]
+        fn escaped_records_roundtrip(seed in proptest::prelude::any::<u64>()) {
+            let mut g = proptest::Gen::new(seed);
+            let mut log = TrendLog::new();
+            for _ in 0..3 {
+                let mut r = record(&awkward(&mut g), g.next_u64(), &[]);
+                r.build = awkward(&mut g);
+                let class = awkward(&mut g);
+                r.verdict_mix.insert((class, awkward(&mut g)), g.next_u64());
+                r.flips = Some(g.next_u64()).filter(|n| n % 2 == 0);
+                r.perf.insert(awkward(&mut g), g.next_f64() * 1e6);
+                r.perf.insert(awkward(&mut g), (g.next_u64() % 1000) as f64);
+                log.append(r);
+            }
+            let parsed = TrendLog::parse(&log.contents());
+            proptest::prop_assert_eq!(parsed.as_ref().map(TrendLog::records), Ok(log.records()));
+            proptest::prop_assert_eq!(parsed.map(|p| p.root()), Ok(log.root()));
+        }
     }
 }

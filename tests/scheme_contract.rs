@@ -14,11 +14,11 @@ use proptest::prelude::*;
 
 use flashmark::prelude::*;
 use flashmark_bench::backend_campaign::{run_backend_campaign, BackendCampaignOptions};
-use flashmark_bench::json::ToJson as _;
 use flashmark_core::{FlashmarkConfig, TestStatus, WatermarkRecord};
 use flashmark_nand::{BlockAddr, NandChip, NandGeometry};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_physics::{Micros, PhysicsParams};
+use flashmark_registry::json::ToJson as _;
 use flashmark_reram::ReramChip;
 
 const MANUFACTURER: u16 = 0x1A2B;

@@ -3,12 +3,12 @@
 //! telemetry exposition, and trend-log record, and replaying a batch
 //! never duplicates records.
 
-use flashmark_bench::json::ToJson as _;
 use flashmark_bench::service_campaign::{
     build_campaign_service, campaign_request, summarize, ServiceCampaignOptions,
 };
 use flashmark_bench::trend::service_record;
 use flashmark_core::FlashmarkConfig;
+use flashmark_registry::json::ToJson as _;
 use flashmark_registry::RegistryOptions;
 use flashmark_serve::{PopulationSpec, ServiceConfig, VerificationService};
 
