@@ -19,16 +19,12 @@ pub fn test_chip(seed: u64) -> FlashController {
 /// segments in a single bank.
 #[must_use]
 pub fn chip_with_segments(segments: u32, seed: u64) -> FlashController {
-    let mut flash = FlashController::new(
+    FlashController::new(
         PhysicsParams::msp430_like(),
         FlashGeometry::single_bank(segments),
         FlashTimings::msp430(),
         seed,
-    );
-    // Experiments never inspect the event trace; a capacity-0 ring makes
-    // `record()` a single predictable branch on the hot read/program paths.
-    flash.trace_mut().set_capacity(0);
-    flash
+    )
 }
 
 /// The chip of one [`Trial`]: a fresh [`test_chip`] keyed by the trial's

@@ -37,4 +37,5 @@ pub mod output;
 pub mod paper;
 pub mod service_campaign;
 pub mod suite;
+pub mod top;
 pub mod trend;

@@ -301,14 +301,12 @@ pub fn kernel_suite() -> RuntimeReport {
     let bench = Bench::new("kernel").samples(10);
     let seg = SegmentAddr::new(0);
     let chip = || {
-        let mut c = FlashController::new(
+        FlashController::new(
             PhysicsParams::msp430_like(),
             FlashGeometry::single_bank(2),
             FlashTimings::msp430(),
             0xBE7C,
-        );
-        c.trace_mut().set_capacity(0);
-        c
+        )
     };
     let pattern: Vec<u16> = (0..256u32).map(|w| (w as u16).rotate_left(3)).collect();
     let mut report = RuntimeReport::new();
@@ -459,12 +457,8 @@ pub fn kernel_suite() -> RuntimeReport {
 fn traced_ops<S, R>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> R) -> u64 {
     use flashmark_obs::Collector;
     let input = setup();
-    let prev = flashmark_obs::install(Collector::with_capacity(0, 0));
-    std::hint::black_box(f(input));
-    let collector = flashmark_obs::take().unwrap_or_else(|| Collector::with_capacity(0, 0));
-    if let Some(p) = prev {
-        flashmark_obs::install(p);
-    }
+    let (out, collector) = flashmark_obs::collect(Collector::with_capacity(0, 0), || f(input));
+    std::hint::black_box(out);
     let cells = collector.metrics().group_total("cells");
     if cells > 0 {
         cells

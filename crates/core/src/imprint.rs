@@ -241,11 +241,14 @@ mod tests {
         let seg = SegmentAddr::new(3);
         let mut f = flash(4);
         let cfg = config(5, true);
-        Imprinter::new(&cfg)
-            .imprint_via_cycles(&mut f, seg, &wm)
-            .unwrap();
-        assert_eq!(f.counters().early_exit_erases, 5);
-        assert_eq!(f.counters().segment_erases, 0);
+        let (_, collector) = obs::collect(obs::Collector::new(0), || {
+            Imprinter::new(&cfg)
+                .imprint_via_cycles(&mut f, seg, &wm)
+                .unwrap()
+        });
+        let flash_ops = collector.metrics();
+        assert_eq!(flash_ops.counter("flash", "erase_until_clean"), 5);
+        assert_eq!(flash_ops.counter("flash", "erase_segment"), 0);
     }
 
     #[test]

@@ -50,6 +50,10 @@ mod tests {
         let t = timings();
         assert!(erase_time_in_spec(t.erase_segment));
         assert!(program_time_in_spec(t.program_word));
+        assert_eq!(
+            t.cumulative_program_limit,
+            Micros::from_millis(T_CUM_PROGRAM_MS)
+        );
     }
 
     #[test]

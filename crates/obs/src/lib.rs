@@ -19,15 +19,13 @@
 //! ```
 //! use flashmark_obs as obs;
 //!
-//! obs::install(obs::Collector::new(0));
-//! {
+//! let ((), collector) = obs::collect(obs::Collector::new(0), || {
 //!     let _span = obs::span("extract");
 //!     obs::emit(obs::ObsEvent::FlashOp {
 //!         kind: obs::FlashOpKind::EraseSegment,
 //!         seg: 3,
 //!     });
-//! }
-//! let collector = obs::take().unwrap();
+//! });
 //! assert_eq!(collector.metrics().counter("flash", "erase_segment"), 1);
 //! ```
 
@@ -41,4 +39,4 @@ pub use collector::{Collector, Metrics, DEFAULT_EVENT_CAPACITY};
 pub use event::{FlashOpKind, ObsEvent};
 pub use metrics::{bucket_of, flash_op_cost, virtual_latency_of, Snapshot, FLASH_OP_COSTS, GLOBAL};
 pub use report::{run_instrumented, InstrumentedRun, ObsReport, TrialSummary};
-pub use runtime::{emit, install, is_enabled, span, take, Span};
+pub use runtime::{collect, emit, install, is_enabled, span, take, Span};

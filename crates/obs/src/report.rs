@@ -137,15 +137,10 @@ where
     runner.run_observed(
         n,
         |trial| {
-            let prev = runtime::install(Collector::with_capacity(trial.index as u64, capacity));
-            let out = f(trial);
-            // A trial body that stole the collector contributes an empty one.
-            let collector =
-                runtime::take().unwrap_or_else(|| Collector::with_capacity(trial.index as u64, 0));
-            if let Some(p) = prev {
-                runtime::install(p);
-            }
-            (out, collector)
+            runtime::collect(
+                Collector::with_capacity(trial.index as u64, capacity),
+                || f(trial),
+            )
         },
         |_, (out, collector)| {
             outputs.push(out);

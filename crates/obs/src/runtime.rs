@@ -2,8 +2,7 @@
 //!
 //! Instrumented crates call [`emit`] unconditionally; it costs one
 //! thread-local flag read and a predictable branch when no collector is
-//! installed (the same armed-flag pattern the NOR controller's trace
-//! buffer uses). Installing a [`Collector`] arms the current thread only —
+//! installed. Installing a [`Collector`] arms the current thread only —
 //! the `TrialRunner` integration installs one per trial on whichever
 //! worker runs it, so parallel trials never share a collector and no
 //! locking is involved.
@@ -59,6 +58,21 @@ pub fn take() -> Option<Collector> {
     let taken = CURRENT.with(|c| c.borrow_mut().take());
     ARMED.with(|a| a.set(false));
     taken
+}
+
+/// Runs `f` with `collector` installed on this thread and returns its
+/// result with the collector. Whatever collector was installed before is
+/// restored afterwards, so collected scopes nest. A body that takes the
+/// collector itself yields an empty, ring-less one with the same index.
+pub fn collect<T>(collector: Collector, f: impl FnOnce() -> T) -> (T, Collector) {
+    let index = collector.trial_index();
+    let prev = install(collector);
+    let out = f();
+    let collector = take().unwrap_or_else(|| Collector::with_capacity(index, 0));
+    if let Some(p) = prev {
+        install(p);
+    }
+    (out, collector)
 }
 
 /// An RAII phase marker: emits [`ObsEvent::SpanEnter`] on creation and
@@ -122,6 +136,24 @@ mod tests {
             kinds,
             vec!["flash_op", "span_enter", "flash_op", "span_exit"]
         );
+    }
+
+    #[test]
+    fn collect_restores_the_outer_collector() {
+        install(Collector::new(1));
+        let (out, inner) = collect(Collector::new(2), || {
+            emit(erase());
+            7
+        });
+        assert_eq!(out, 7);
+        assert_eq!(inner.trial_index(), 2);
+        assert_eq!(inner.metrics().counter("flash", "erase_segment"), 1);
+        let outer = take().expect("outer collector restored");
+        assert_eq!(outer.trial_index(), 1);
+        assert_eq!(outer.ops(), 0);
+        let ((), stolen) = collect(Collector::new(5), || drop(take()));
+        assert_eq!(stolen.trial_index(), 5);
+        assert!(!is_enabled());
     }
 
     #[test]

@@ -131,9 +131,13 @@ mod tests {
     #[test]
     fn unwrapping_returns_the_driven_chip() {
         let mut a = adapter();
-        a.program_all_zero(SegmentAddr::new(0)).unwrap();
-        let chip = a.into_chip();
-        assert!(chip.counters().block_sets > 0);
+        let seg = SegmentAddr::new(0);
+        let ((), collector) = flashmark_obs::collect(flashmark_obs::Collector::new(0), || {
+            a.program_all_zero(seg).unwrap();
+        });
+        assert_eq!(collector.metrics().counter("flash", "program_block"), 1);
+        let mut chip = a.into_chip();
+        assert!(chip.read_block(seg).unwrap().iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use flashmark_core::{
     CounterfeitReason, FlashmarkConfig, InconclusiveReason, SegmentCondition, StressDetector,
     Verdict, Verifier,
 };
-use flashmark_obs::{install, take, virtual_latency_of, Collector, Metrics, Snapshot, GLOBAL};
+use flashmark_obs::{collect, virtual_latency_of, Collector, Metrics, Snapshot, GLOBAL};
 use flashmark_par::TrialRunner;
 use flashmark_physics::rng::mix2;
 use flashmark_physics::Micros;
@@ -357,28 +357,26 @@ impl ShardCtx<'_> {
         let mut flash = enrolled.chip.flash.clone();
         let seg = flash.watermark_segment();
 
-        let prev = install(Collector::with_capacity(req.request_id, 0));
-        let served = (|| -> Result<(RecordVerdict, &'static str), CoreError> {
-            let report = self.verifier.verify(&mut flash, seg)?;
-            let (mut verdict, mut reason) = map_verdict(report.verdict);
-            if req.probe && verdict == RecordVerdict::Accept {
-                let probe_seg = sampled_probe_segments(
-                    PROBE_WINDOW_SEGMENTS,
-                    1,
-                    mix2(self.seed, req.request_id),
-                )[0];
-                let probe = self.detector.classify(&mut flash, probe_seg)?;
-                if probe.verdict == SegmentCondition::Stressed {
-                    verdict = RecordVerdict::Reject;
-                    reason = "recycled_wear";
+        let (served, collector) = collect(
+            Collector::with_capacity(req.request_id, 0),
+            || -> Result<(RecordVerdict, &'static str), CoreError> {
+                let report = self.verifier.verify(&mut flash, seg)?;
+                let (mut verdict, mut reason) = map_verdict(report.verdict);
+                if req.probe && verdict == RecordVerdict::Accept {
+                    let probe_seg = sampled_probe_segments(
+                        PROBE_WINDOW_SEGMENTS,
+                        1,
+                        mix2(self.seed, req.request_id),
+                    )[0];
+                    let probe = self.detector.classify(&mut flash, probe_seg)?;
+                    if probe.verdict == SegmentCondition::Stressed {
+                        verdict = RecordVerdict::Reject;
+                        reason = "recycled_wear";
+                    }
                 }
-            }
-            Ok((verdict, reason))
-        })();
-        let collector = take().unwrap_or_else(|| Collector::with_capacity(req.request_id, 0));
-        if let Some(p) = prev {
-            install(p);
-        }
+                Ok((verdict, reason))
+            },
+        );
         let (verdict, reason) = served?;
 
         let metrics = collector.metrics();
