@@ -353,6 +353,47 @@ pub fn kernel_suite() -> RuntimeReport {
         bench.bench_with_setup("erase_until_clean", programmed, until_clean),
         traced_ops(programmed, until_clean),
     );
+    // A nominal erase of a programmed 40 K-cycle segment: the erase that
+    // brackets every extraction and wear probe. It raises no `cells`
+    // counter, so the segment's cell count is its work count. The timed
+    // closure hands the controller back so its drop stays untimed.
+    let cells = FlashGeometry::single_bank(2).cells_per_segment() as u64;
+    let worn = || {
+        let mut c = touched();
+        c.bulk_imprint(seg, &[0x0000; 256], 40_000, ImprintTiming::Accelerated)
+            .expect("stress");
+        c
+    };
+    let erase = |mut c: FlashController| {
+        c.erase_segment(seg).expect("erase");
+        c
+    };
+    add(
+        "erase_complete",
+        bench.bench_with_setup("erase_complete", worn, erase),
+        cells,
+    );
+    // The service's per-request pattern: clone a chip whose 32 segments are
+    // all materialized, then erase one of them.
+    let mut fleet = FlashController::new(
+        PhysicsParams::msp430_like(),
+        FlashGeometry::single_bank(32),
+        FlashTimings::msp430(),
+        0xBE7C,
+    );
+    for i in 0..32 {
+        let _ = fleet.array_mut().segment(SegmentAddr::new(i));
+    }
+    fleet.program_block(seg, &pattern).expect("program");
+    add(
+        "clone_and_erase",
+        bench.bench("clone_and_erase", || {
+            let mut c = fleet.clone();
+            c.erase_segment(seg).expect("erase");
+            c
+        }),
+        cells,
+    );
     let bulk = |mut c: FlashController| {
         c.bulk_imprint(seg, &pattern, 5_000, ImprintTiming::Accelerated)
             .expect("stress")

@@ -1045,6 +1045,17 @@ pub fn run_suite(opts: &SuiteOptions) -> io::Result<SuiteReport> {
          Generated by `cargo run --release -p flashmark-bench --bin run_all`.\n\n\
          {REPORT_TABLE_HEADER}"
     );
+    // The runtime baseline's kernel micro-benchmarks run first, so they see
+    // the same fresh-process heap as `perf_smoke`, which gates against
+    // them. A kernel that allocates (the segment copy of
+    // `clone_and_erase`) runs at a speed set by the allocator's heap state,
+    // and the experiments change that state. Smoke runs skip the baseline
+    // so reduced-profile artifacts never overwrite the committed one.
+    let kernels = (opts.profile == Profile::Full).then(|| {
+        // flashmark-lint: allow(print-discipline) -- progress ticker on stderr; artifacts stay deterministic on stdout/disk
+        eprintln!("[  ] kernel micro-benchmarks ...");
+        kernel_suite()
+    });
     let mut trend = TrendInputs::default();
     let outcomes = run_entries(opts, EXPERIMENTS, &mut md, &mut trend);
 
@@ -1088,12 +1099,8 @@ pub fn run_suite(opts: &SuiteOptions) -> io::Result<SuiteReport> {
     }
 
     // The runtime baseline: kernel micro-benchmarks plus per-experiment
-    // wall times. Smoke runs skip it so reduced-profile artifacts never
-    // overwrite the committed baseline.
-    if opts.profile == Profile::Full {
-        // flashmark-lint: allow(print-discipline) -- progress ticker on stderr; artifacts stay deterministic on stdout/disk
-        eprintln!("[  ] kernel micro-benchmarks ...");
-        let mut rt = kernel_suite();
+    // wall times.
+    if let Some(mut rt) = kernels {
         for o in &outcomes {
             rt.push(&format!("experiment/{}", o.name), o.wall_s, o.trials.max(1));
         }

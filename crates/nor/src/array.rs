@@ -12,12 +12,19 @@
 //! randomness comes from counter-based streams: each operation derives a
 //! [`CounterStream`] from `(op seed, entity index, op counter)`, so a batched
 //! sweep draws exactly the deviates a word-by-word loop would, bit for bit.
+//!
+//! Segments are copy-on-write: the map holds each arena behind an [`Arc`],
+//! so cloning an array (the service clones an enrolled chip per request)
+//! costs O(segments) and shares every arena. Operations that change cells
+//! go through [`Arc::make_mut`] and copy only the segment they write; reads
+//! and estimators take the shared arena as it is.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use flashmark_physics::arena::CellArena;
 use flashmark_physics::cell::CellState;
-use flashmark_physics::erase::{erase_temp_factor, t_full_us_cached};
+use flashmark_physics::erase::erase_temp_factor;
 use flashmark_physics::noise::PulseNoise;
 use flashmark_physics::program::apply_partial_program;
 use flashmark_physics::retention::apply_bake;
@@ -36,10 +43,10 @@ pub struct SegmentCells {
 }
 
 impl SegmentCells {
-    fn materialize(params: &PhysicsParams, chip_seed: u64, base_cell: u64, n: usize) -> Self {
-        Self {
+    fn materialize(params: &PhysicsParams, chip_seed: u64, base_cell: u64, n: usize) -> Arc<Self> {
+        Arc::new(Self {
             arena: CellArena::derive(params, chip_seed, base_cell, n),
-        }
+        })
     }
 
     /// The structure-of-arrays cell storage.
@@ -72,7 +79,8 @@ pub struct FlashArray {
     params: PhysicsParams,
     geometry: FlashGeometry,
     chip_seed: u64,
-    segments: BTreeMap<u32, SegmentCells>,
+    /// Copy-on-write segment arenas, shared between clones until written.
+    segments: BTreeMap<u32, Arc<SegmentCells>>,
     /// Seed coordinate of every per-operation [`CounterStream`].
     op_seed: u64,
     /// Monotone operation counter — the third stream coordinate. Advances
@@ -130,32 +138,23 @@ impl FlashArray {
         self.chip_seed
     }
 
-    fn segment_cells(&mut self, seg: SegmentAddr) -> &mut SegmentCells {
-        let n = self.geometry.cells_per_segment();
-        let base_cell = seg.index() as u64 * n as u64;
-        let params = &self.params;
-        let chip_seed = self.chip_seed;
-        self.segments
-            .entry(seg.index())
-            .or_insert_with(|| SegmentCells::materialize(params, chip_seed, base_cell, n))
-    }
-
     /// Read-only view of a segment's cells (materializing it if needed).
+    /// Never copies a segment shared with a clone.
     pub fn segment(&mut self, seg: SegmentAddr) -> &SegmentCells {
-        self.segment_cells(seg)
+        self.op_context_read(seg).1
     }
 
     /// Splits the borrow of `self` into the disjoint parts an operation
-    /// needs — parameters, the (lazily materialized) segment cells, the op
+    /// needs — parameters, the (lazily materialized) segment slot, the op
     /// counter, and the erase-distribution cache — so hot paths never clone
     /// `PhysicsParams` (whose calibration tables are `Vec`-backed and would
     /// cost two heap allocations per operation).
-    fn op_context(
+    fn split(
         &mut self,
         seg: SegmentAddr,
     ) -> (
         &PhysicsParams,
-        &mut SegmentCells,
+        &mut Arc<SegmentCells>,
         &mut u64,
         &mut EraseDistCache,
     ) {
@@ -172,6 +171,32 @@ impl FlashArray {
         let cells = segments
             .entry(seg.index())
             .or_insert_with(|| SegmentCells::materialize(params, *chip_seed, base_cell, n));
+        (params, cells, op_counter, dist_cache)
+    }
+
+    /// The split borrow for operations that change cells: the segment is
+    /// copied first if a clone still shares it.
+    fn op_context(
+        &mut self,
+        seg: SegmentAddr,
+    ) -> (
+        &PhysicsParams,
+        &mut SegmentCells,
+        &mut u64,
+        &mut EraseDistCache,
+    ) {
+        let (params, cells, op_counter, dist_cache) = self.split(seg);
+        (params, Arc::make_mut(cells), op_counter, dist_cache)
+    }
+
+    /// The split borrow for operations that only look at cells (reads
+    /// still advance the op counter, estimators fill the erase-distribution
+    /// cache): a shared segment stays shared.
+    fn op_context_read(
+        &mut self,
+        seg: SegmentAddr,
+    ) -> (&PhysicsParams, &SegmentCells, &mut u64, &mut EraseDistCache) {
+        let (params, cells, op_counter, dist_cache) = self.split(seg);
         (params, cells, op_counter, dist_cache)
     }
 
@@ -222,7 +247,7 @@ impl FlashArray {
         let seg = self.geometry.segment_of(word);
         let offset = self.geometry.word_offset_in_segment(word) * WORD_BITS;
         let op_seed = self.op_seed;
-        let (params, cells, op_counter, _) = self.op_context(seg);
+        let (params, cells, op_counter, _) = self.op_context_read(seg);
         let stream = CounterStream::new(op_seed, u64::from(word.index()), *op_counter);
         *op_counter += 1;
         Ok(cells.arena.sense_word(params, offset, &stream))
@@ -243,7 +268,7 @@ impl FlashArray {
         let words = self.geometry.words_per_segment();
         let base = self.geometry.first_word(seg);
         let op_seed = self.op_seed;
-        let (params, cells, op_counter, _) = self.op_context(seg);
+        let (params, cells, op_counter, _) = self.op_context_read(seg);
         let mut out = Vec::with_capacity(words);
         for w in 0..words {
             let word_index = u64::from(base.offset(w as u32).index());
@@ -257,7 +282,7 @@ impl FlashArray {
     /// Noise-free logical value of every cell of a segment (ground truth for
     /// experiments; not reachable through the digital interface).
     pub fn ideal_bits(&mut self, seg: SegmentAddr) -> Vec<bool> {
-        let (params, cells, _, _) = self.op_context(seg);
+        let (params, cells, _, _) = self.op_context_read(seg);
         let vref = params.vref.get();
         cells.arena.vth().iter().map(|&vth| vth < vref).collect()
     }
@@ -404,29 +429,6 @@ impl FlashArray {
         Ok(())
     }
 
-    /// Time until the slowest cell of the segment finishes erasing, from the
-    /// segment's *current* state (used by the early-exit erase).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NorError::SegmentOutOfRange`] for a bad address.
-    pub fn erase_completion_time(&mut self, seg: SegmentAddr) -> Result<Micros, NorError> {
-        self.geometry.check_segment(seg)?;
-        let (params, cells, _, dist_cache) = self.op_context(seg);
-        let mut worst = 0.0f64;
-        for i in 0..cells.arena.len() {
-            let statics = cells.arena.statics_at(i);
-            let state = cells.arena.state_at(i);
-            let t_full = t_full_us_cached(params, &statics, &state, dist_cache);
-            let vth_prog = state.vth_prog_now(params, &statics);
-            let vth_end = state.vth_erased_now(params, &statics);
-            let span = (vth_prog - vth_end).max(1e-9);
-            let remaining = ((state.vth - vth_end) / span).clamp(0.0, 1.0);
-            worst = worst.max(t_full * remaining);
-        }
-        Ok(Micros::new(worst))
-    }
-
     /// Worst-case read-reference crossing time (µs) over a segment's cells
     /// at *hypothetical* per-cell wear: cells whose pattern bit is 0 are
     /// evaluated at `stressed_wear`, the rest at `spared_wear`. This is the
@@ -446,7 +448,7 @@ impl FlashArray {
         spared_wear: f64,
     ) -> Result<f64, NorError> {
         self.check_pattern(seg, pattern)?;
-        let (params, cells, _, dist_cache) = self.op_context(seg);
+        let (params, cells, _, dist_cache) = self.op_context_read(seg);
         let mask = Self::stressed_mask(pattern);
         Ok(cells
             .arena
@@ -471,7 +473,7 @@ impl FlashArray {
         wear_pairs: &[(f64, f64)],
     ) -> Result<Vec<f64>, NorError> {
         self.check_pattern(seg, pattern)?;
-        let (params, cells, _, dist_cache) = self.op_context(seg);
+        let (params, cells, _, dist_cache) = self.op_context_read(seg);
         let mask = Self::stressed_mask(pattern);
         Ok(cells
             .arena
@@ -525,6 +527,7 @@ impl FlashArray {
             params, segments, ..
         } = self;
         for cells in segments.values_mut() {
+            let cells = Arc::make_mut(cells);
             for i in 0..cells.arena.len() {
                 let statics = cells.arena.statics_at(i);
                 let mut state = cells.arena.state_at(i);
@@ -536,8 +539,7 @@ impl FlashArray {
 
     /// Wear statistics of a segment.
     pub fn wear_stats(&mut self, seg: SegmentAddr) -> WearStats {
-        let cells = self.segment_cells(seg);
-        let wear = cells.arena.wear_cycles();
+        let wear = self.segment(seg).arena.wear_cycles();
         let n = wear.len() as f64;
         let mut stats = WearStats {
             min_cycles: f64::INFINITY,
@@ -680,19 +682,17 @@ mod tests {
         let worn_seg = SegmentAddr::new(6);
         a.bulk_stress(worn_seg, &vec![0x0000u16; 256], 50_000)
             .unwrap();
-        // Program both fully, then measure completion times.
+        // Program both fully, then give both the same fixed pulse: every
+        // fresh cell finishes within ~60 µs, the worn segment needs ~500.
         for seg in [fresh_seg, worn_seg] {
             a.erase_complete(seg, Micros::from_millis(25.0)).unwrap();
             for w in a.geometry().segment_words(seg) {
                 a.program_word(w, 0x0000, false).unwrap();
             }
         }
-        let t_fresh = a.erase_completion_time(fresh_seg).unwrap();
-        let t_worn = a.erase_completion_time(worn_seg).unwrap();
-        assert!(
-            t_worn.get() > t_fresh.get() * 2.0,
-            "worn {t_worn} vs fresh {t_fresh}"
-        );
+        let pulse = Micros::new(150.0);
+        assert!(a.erase_pulse(fresh_seg, pulse).unwrap(), "fresh segment");
+        assert!(!a.erase_pulse(worn_seg, pulse).unwrap(), "worn segment");
     }
 
     #[test]
@@ -882,6 +882,117 @@ mod tests {
             let single = a.worst_t_cross_us(seg, &pattern, sw, pw).unwrap();
             assert_eq!(multi[i].to_bits(), single.to_bits(), "pair {i}");
         }
+    }
+
+    /// A chip with every one of its 8 segments materialized and two of them
+    /// worn and programmed, so clones have shared arenas to copy or not.
+    fn worn_chip() -> FlashArray {
+        let mut a = array();
+        for i in 0..8 {
+            let seg = SegmentAddr::new(i);
+            let _ = a.segment(seg);
+            if i < 2 {
+                a.bulk_stress(seg, &vec![0x00FFu16; 256], 40_000).unwrap();
+            }
+        }
+        a
+    }
+
+    fn lanes_of(a: &mut FlashArray, seg: SegmentAddr) -> Vec<(u64, u64)> {
+        let arena = a.segment(seg).arena();
+        arena
+            .vth()
+            .iter()
+            .zip(arena.wear_cycles())
+            .map(|(v, w)| (v.to_bits(), w.to_bits()))
+            .collect()
+    }
+
+    fn shares(a: &FlashArray, b: &FlashArray, seg: SegmentAddr) -> bool {
+        Arc::ptr_eq(&a.segments[&seg.index()], &b.segments[&seg.index()])
+    }
+
+    #[test]
+    fn writing_a_clone_leaves_the_original_untouched() {
+        let mut original = worn_chip();
+        let seg = SegmentAddr::new(0);
+        let before = lanes_of(&mut original, seg);
+        let mut copy = original.clone();
+        copy.erase_complete(seg, Micros::from_millis(25.0)).unwrap();
+        copy.program_segment_words(seg, &vec![0x1234u16; 256], false)
+            .unwrap();
+        copy.erase_pulse(seg, Micros::new(20.0)).unwrap();
+        copy.bake(1_000.0, 85.0);
+        assert_ne!(lanes_of(&mut copy, seg), before);
+        assert_eq!(lanes_of(&mut original, seg), before);
+        // `bake` writes every segment, so the unwritten one is copied too.
+        assert!(!shares(&original, &copy, seg));
+        assert!(!shares(&original, &copy, SegmentAddr::new(1)));
+    }
+
+    #[test]
+    fn untouched_segments_stay_shared() {
+        let original = worn_chip();
+        let mut copy = original.clone();
+        for i in 0..8 {
+            assert!(shares(&original, &copy, SegmentAddr::new(i)), "seg {i}");
+        }
+        copy.erase_complete(SegmentAddr::new(1), Micros::from_millis(25.0))
+            .unwrap();
+        copy.program_word(WordAddr::new(3 * 256), 0x0000, false)
+            .unwrap();
+        for i in 0..8 {
+            let written = i == 1 || i == 3;
+            assert_eq!(
+                shares(&original, &copy, SegmentAddr::new(i)),
+                !written,
+                "seg {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn looking_at_a_clone_copies_nothing() {
+        let original = worn_chip();
+        let mut copy = original.clone();
+        let seg = SegmentAddr::new(0);
+        let pattern = vec![0x00FFu16; 256];
+        let _ = copy.segment(seg);
+        let _ = copy.ideal_bits(seg);
+        let _ = copy.wear_stats(seg);
+        copy.worst_t_cross_us(seg, &pattern, 40_000.0, 400.0)
+            .unwrap();
+        copy.worst_t_cross_multi(seg, &pattern, &[(1_000.0, 10.0), (40_000.0, 400.0)])
+            .unwrap();
+        copy.read_segment_words(seg).unwrap();
+        copy.read_word(WordAddr::new(17)).unwrap();
+        for i in 0..8 {
+            assert!(shares(&original, &copy, SegmentAddr::new(i)), "seg {i}");
+        }
+    }
+
+    #[test]
+    fn a_clone_and_its_original_replay_the_same_script() {
+        let mut original = worn_chip();
+        // Advance the op counter so the clone inherits a mid-run stream.
+        original.read_segment_words(SegmentAddr::new(2)).unwrap();
+        let mut copy = original.clone();
+        let seg = SegmentAddr::new(1);
+        let run = |a: &mut FlashArray| {
+            a.erase_complete(seg, Micros::from_millis(25.0)).unwrap();
+            a.program_segment_words(seg, &vec![0xA5C3u16; 256], false)
+                .unwrap();
+            a.erase_pulse(seg, Micros::new(60.0)).unwrap();
+            let mut words = a.read_segment_words(seg).unwrap();
+            words.extend(a.read_segment_words(SegmentAddr::new(0)).unwrap());
+            words
+        };
+        // The copy runs first: had it written through a shared arena, the
+        // original would start from different cells.
+        let from_copy = run(&mut copy);
+        let from_original = run(&mut original);
+        assert_eq!(from_copy, from_original);
+        assert_eq!(lanes_of(&mut copy, seg), lanes_of(&mut original, seg));
     }
 
     #[test]

@@ -51,6 +51,41 @@ const PRUNE_MARGIN: f64 = 1e-9;
 /// Bits per machine word of the simulated array.
 const WORD_BITS: usize = 16;
 
+/// Extremes of the statics lanes that the complete-erase bound of
+/// [`CellArena::erase_pulse`] needs, folded once at derive.
+#[derive(Debug, Clone, Copy)]
+struct StaticBounds {
+    erase_z_lo: f64,
+    erase_z_hi: f64,
+    ln_straggler_hi: f64,
+    vth_prog0_lo: f64,
+    vth_prog0_hi: f64,
+    vth_erased0_lo: f64,
+    vth_erased0_hi: f64,
+}
+
+impl StaticBounds {
+    const EMPTY: Self = Self {
+        erase_z_lo: f64::INFINITY,
+        erase_z_hi: f64::NEG_INFINITY,
+        ln_straggler_hi: f64::NEG_INFINITY,
+        vth_prog0_lo: f64::INFINITY,
+        vth_prog0_hi: f64::NEG_INFINITY,
+        vth_erased0_lo: f64::INFINITY,
+        vth_erased0_hi: f64::NEG_INFINITY,
+    };
+
+    fn include(&mut self, statics: &CellStatics) {
+        self.erase_z_lo = self.erase_z_lo.min(statics.erase_z);
+        self.erase_z_hi = self.erase_z_hi.max(statics.erase_z);
+        self.ln_straggler_hi = self.ln_straggler_hi.max(statics.ln_straggler());
+        self.vth_prog0_lo = self.vth_prog0_lo.min(statics.vth_prog0);
+        self.vth_prog0_hi = self.vth_prog0_hi.max(statics.vth_prog0);
+        self.vth_erased0_lo = self.vth_erased0_lo.min(statics.vth_erased0);
+        self.vth_erased0_hi = self.vth_erased0_hi.max(statics.vth_erased0);
+    }
+}
+
 /// A structure-of-arrays arena of flash cells.
 ///
 /// Statics lanes are immutable after [`CellArena::derive`]; `vth` and
@@ -77,6 +112,7 @@ pub struct CellArena {
     /// the scan order of the frontier-pruned max kernels.
     susc_order: Vec<u32>,
     max_susceptibility: f64,
+    bounds: StaticBounds,
     // --- dynamic state lanes ---
     vth: Vec<f64>,
     wear_cycles: Vec<f64>,
@@ -105,6 +141,7 @@ impl CellArena {
             susceptibility: Vec::with_capacity(n),
             susc_order: Vec::new(),
             max_susceptibility: 0.0,
+            bounds: StaticBounds::EMPTY,
             vth: Vec::with_capacity(n),
             wear_cycles: Vec::with_capacity(n),
             t_cross_key: vec![u64::MAX; n],
@@ -112,6 +149,7 @@ impl CellArena {
         };
         for i in 0..n {
             let statics = CellStatics::derive(params, chip_seed, base_cell + i as u64);
+            arena.bounds.include(&statics);
             arena.erase_z.push(statics.erase_z);
             arena
                 .straggler_extra
@@ -398,6 +436,13 @@ impl CellArena {
     /// under the key `(wear bucket, trap active)` — between consecutive
     /// pulses of an erase-until-clean loop the bucket rarely moves, so the
     /// log-normal `exp` is skipped for almost every cell.
+    ///
+    /// A pulse that [`Self::completes_every_cell`] proves long enough for
+    /// the slowest cell takes the closed form instead: every cell lands on
+    /// its wear-shifted erased level and accrues one full erase weight, in
+    /// one lane loop with no per-cell draw. This is the common case — a
+    /// nominal segment erase lasts tens of milliseconds while the slowest
+    /// 100 K-cycle cell needs under one.
     pub fn erase_pulse(
         &mut self,
         params: &PhysicsParams,
@@ -410,6 +455,11 @@ impl CellArena {
         let n = self.len();
         let max_wear = self.wear_cycles.iter().fold(0.0f64, |acc, &w| acc.max(w));
         self.ensure_cache(params, cache, max_wear);
+        let eff_floor = pulse.effective_floor_us(params, nominal_us) * temp_factor;
+        if self.completes_every_cell(params, cache, max_wear, eff_floor) {
+            self.erase_to_end(params);
+            return true;
+        }
         let (ln_median, sigma) = cache.tables();
         let grid = cache.grid_kcycles();
         let vref = params.vref.get();
@@ -473,6 +523,109 @@ impl CellArena {
             all_done &= new_vth <= vth_end + 1e-12;
         }
         all_done
+    }
+
+    /// Whether every cell of the arena provably finishes erasing within any
+    /// pulse whose per-cell effective duration is at least `eff_floor`, with
+    /// `fl` results that make [`Self::erase_pulse`]'s per-cell update
+    /// collapse to the closed form of [`Self::erase_to_end`] bit for bit.
+    ///
+    /// A cell needs `t_cross · (vth − vth_end) / (vth_prog − vref)` to reach
+    /// its erased level, and its wear fraction saturates once the pulse
+    /// exceeds `t_full = t_cross · (vth_prog − vth_end) / (vth_prog −
+    /// vref)`. Both are bounded over the arena by one segment-level figure:
+    ///
+    /// * **crossing-time ceiling** — every cell's wear bucket is at most the
+    ///   bucket of `max_wear · max susceptibility`, so its `ln t_cross` is at
+    ///   most the table's `ln median` maximum up to that bucket, plus the
+    ///   largest `sigma · z` corner over the table's sigma range and the
+    ///   statics' `z` range, plus the largest straggler term (trap terms are
+    ///   ≤ 0 and drop out);
+    /// * **span ratio** — the numerator takes the highest programmed level
+    ///   or the highest current `vth` (program op noise can overshoot the
+    ///   nominal level), minus the lowest erased level; the denominator the
+    ///   lowest programmed level minus `vref`. Wear shifts both levels by at
+    ///   most `shift · keff_max` either way.
+    ///
+    /// `fl` rounding of `+`, `*` and `/` is monotone, so the bound holds in
+    /// floating point too. Requiring `eff_floor ≥ 2 ×` the bound absorbs the
+    /// remaining rounding of the kernel's own arithmetic: `min(eff / t_full,
+    /// 1)` is exactly `1.0` and `max(vth − slope · eff, vth_end)` exactly
+    /// `vth_end`. The bound gives up (and the caller runs the per-cell
+    /// kernel) when the programmed level does not clear `vref`, or the
+    /// erased and programmed level ranges overlap.
+    fn completes_every_cell(
+        &self,
+        params: &PhysicsParams,
+        cache: &EraseDistCache,
+        max_wear: f64,
+        eff_floor: f64,
+    ) -> bool {
+        let b = &self.bounds;
+        let vref = params.vref.get();
+        let keff_max = (max_wear / 1000.0) * self.max_susceptibility;
+        let shift = |per_kcycle: f64| {
+            let s = per_kcycle * keff_max;
+            (s.min(0.0), s.max(0.0))
+        };
+        let (p_down, p_up) = shift(params.programmed_vth_shift_per_kcycle);
+        let (e_down, e_up) = shift(params.erased_vth_shift_per_kcycle);
+        let prog_lo = b.vth_prog0_lo + p_down;
+        let prog_hi = b.vth_prog0_hi + p_up;
+        let end_lo = b.vth_erased0_lo + e_down;
+        let end_hi = b.vth_erased0_hi + e_up;
+        if !(prog_lo > vref && end_hi < prog_lo) {
+            return false;
+        }
+        let b_max = wear_bucket(
+            max_wear * self.max_susceptibility / 1000.0,
+            cache.grid_kcycles(),
+        );
+        let (ln_median, sigma) = cache.tables();
+        let ln_median_hi = ln_median[..=b_max]
+            .iter()
+            .fold(f64::NEG_INFINITY, |acc, &m| acc.max(m));
+        let (sig_lo, sig_hi) = sigma[..=b_max]
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
+                (lo.min(s), hi.max(s))
+            });
+        let sigma_z_hi = [
+            sig_lo * b.erase_z_lo,
+            sig_lo * b.erase_z_hi,
+            sig_hi * b.erase_z_lo,
+            sig_hi * b.erase_z_hi,
+        ]
+        .into_iter()
+        .fold(f64::NEG_INFINITY, f64::max);
+        let t_cross_hi = (ln_median_hi + sigma_z_hi + b.ln_straggler_hi).exp();
+        let need = |vth_hi: f64| (t_cross_hi * ((vth_hi - end_lo) / (prog_lo - vref))).max(1e-9);
+        // Cheap test first: a partial-erase pulse fails it without the
+        // `vth` scan.
+        if eff_floor < 2.0 * need(prog_hi) {
+            return false;
+        }
+        let vth_hi = self.vth.iter().fold(prog_hi, |acc, &v| acc.max(v));
+        eff_floor >= 2.0 * need(vth_hi)
+    }
+
+    /// The closed form of a pulse that [`Self::completes_every_cell`]
+    /// proved long enough: `vth = vth_end` and one full erase weight (the
+    /// program/erase or the erase-only weight, by the cell's `vth ≥ vref`
+    /// state before the pulse), with the kernel's own `(wear / 1000) ·
+    /// susceptibility` grouping so every lane matches it bit for bit.
+    fn erase_to_end(&mut self, params: &PhysicsParams) {
+        let vref = params.vref.get();
+        let e_shift = params.erased_vth_shift_per_kcycle;
+        let (w_erase, w_erase_only) = (params.wear.erase, params.wear.erase_only);
+        let statics = self.vth_erased0.iter().zip(&self.susceptibility);
+        let state = self.vth.iter_mut().zip(self.wear_cycles.iter_mut());
+        for ((vth, wear), (&vth_erased0, &susceptibility)) in state.zip(statics) {
+            let keff = (*wear / 1000.0) * susceptibility;
+            let weight = if *vth >= vref { w_erase } else { w_erase_only };
+            *vth = vth_erased0 + e_shift * keff;
+            *wear += weight;
+        }
     }
 
     /// Senses one 16-bit word starting at cell offset `offset`; bit `b`

@@ -16,6 +16,12 @@ use crate::params::PhysicsParams;
 use crate::rng::{mix2, uniform_from_bits, CounterStream, SplitMix64};
 use crate::variation::inverse_normal_cdf;
 
+/// A standard-normal deviate below every per-cell jitter deviate
+/// [`PulseNoise::effective_us`] can draw: the most extreme is
+/// `inverse_normal_cdf(uniform_from_bits(0))` ≈ −8.22 (the upper tail is its
+/// mirror image), so this floor leaves a margin of ~0.8 σ.
+pub const Z_FLOOR: f64 = -9.0;
+
 /// The noise context of one pulse (drawn once per pulse).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulseNoise {
@@ -65,10 +71,28 @@ impl PulseNoise {
         }
         // One avalanche hash and an inverse-CDF normal per cell — stateless,
         // so lane kernels can replay any subset of cells bit-identically.
-        let z = inverse_normal_cdf(uniform_from_bits(mix2(self.seed, cell_index)));
-        let cell_factor = (params.op_jitter_sigma * z).exp();
+        let cell_factor = cell_factor(params, mix2(self.seed, cell_index));
         nominal_us * self.common_factor * cell_factor
     }
+
+    /// A lower bound on [`Self::effective_us`] over every cell of the pulse:
+    /// the per-cell factor at [`Z_FLOOR`], multiplied in the same order.
+    /// `fl` rounding of `*` is monotone and the floor's 0.8 σ margin dwarfs
+    /// any `exp` rounding, so no cell's effective duration falls below it.
+    /// Exactly `nominal_us * common_factor` for a noise-free pulse.
+    #[must_use]
+    pub fn effective_floor_us(&self, params: &PhysicsParams, nominal_us: f64) -> f64 {
+        if self.seed == 0 {
+            return nominal_us * self.common_factor;
+        }
+        let cell_factor = (params.op_jitter_sigma * Z_FLOOR).exp();
+        nominal_us * self.common_factor * cell_factor
+    }
+}
+
+/// The per-cell jitter factor for hash bits `bits`.
+fn cell_factor(params: &PhysicsParams, bits: u64) -> f64 {
+    (params.op_jitter_sigma * inverse_normal_cdf(uniform_from_bits(bits))).exp()
 }
 
 #[cfg(test)]
@@ -119,6 +143,30 @@ mod tests {
             a.effective_us(&params, 3, 10.0),
             b.effective_us(&params, 3, 10.0)
         );
+    }
+
+    #[test]
+    fn floor_is_below_the_extreme_cell_factors() {
+        let params = PhysicsParams::msp430_like();
+        let floor = (params.op_jitter_sigma * Z_FLOOR).exp();
+        // Both tails' extremes, and the hash bits on either side of the
+        // inverse CDF's tail/central seams at `P_LOW` and `1 - P_LOW`.
+        let seam = |p: f64| ((p * (1u64 << 52) as f64) as u64) << 12;
+        let mut bits = vec![0, 1 << 12, u64::MAX, u64::MAX - (1 << 12)];
+        for p in [0.02425, 1.0 - 0.02425] {
+            let b = seam(p);
+            bits.extend([b - (1 << 12), b, b + (1 << 12)]);
+        }
+        for b in bits {
+            assert!(floor <= cell_factor(&params, b), "bits {b:#x}");
+        }
+        let pn = PulseNoise::draw(&params, &mut SplitMix64::new(81));
+        assert_eq!(
+            pn.effective_floor_us(&params, 25.0).to_bits(),
+            (25.0 * pn.common_factor * floor).to_bits()
+        );
+        let none = PulseNoise::none();
+        assert_eq!(none.effective_floor_us(&params, 25.0), 25.0);
     }
 
     #[test]

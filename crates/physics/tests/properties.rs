@@ -4,7 +4,9 @@ use proptest::prelude::*;
 
 use flashmark_physics::arena::{reference, CellArena};
 use flashmark_physics::cell::{CellState, CellStatics};
-use flashmark_physics::erase::{apply_erase, t_cross_us, t_full_us, EraseDistCache};
+use flashmark_physics::erase::{
+    apply_erase, erase_temp_factor, t_cross_us, t_full_us, t_full_us_cached, EraseDistCache,
+};
 use flashmark_physics::program::apply_program;
 use flashmark_physics::retention::apply_bake;
 use flashmark_physics::rng::{CounterStream, SplitMix64};
@@ -22,6 +24,90 @@ fn lane_mask(n: usize) -> Vec<bool> {
 
 fn cache(p: &PhysicsParams) -> EraseDistCache {
     EraseDistCache::new(p.erase_dist_grid_kcycles)
+}
+
+/// Segment states an erase pulse can start from.
+#[derive(Debug, Clone, Copy)]
+enum StartState {
+    /// Every cell programmed by the word-program kernel, whose op noise
+    /// leaves some cells above their nominal programmed level.
+    ProgrammedWithOvershoot,
+    /// Every cell fully erased.
+    Erased,
+    /// Programmed, then stopped partway through an erase.
+    MidPartialErase,
+}
+
+/// An arena of `words` 16-cell words at `wear` P/E cycles (a mixed stress
+/// mask, so both wear classes appear), brought to `start`.
+fn arena_at(p: &PhysicsParams, seed: u64, words: usize, wear: f64, start: StartState) -> CellArena {
+    let n = words * 16;
+    let mut a = CellArena::derive(p, seed, 128, n);
+    a.bulk_stress(p, &lane_mask(n), wear);
+    let program = |a: &mut CellArena| {
+        for w in 0..words {
+            let stream = CounterStream::new(seed, 0x9806 ^ w as u64, w as u64);
+            a.program_word(p, w * 16, 0x0000, &stream);
+        }
+    };
+    let pulse = |a: &mut CellArena, nominal_us: f64| {
+        reference::erase_pulse(
+            a,
+            p,
+            &mut cache(p),
+            128,
+            &PulseNoise::none(),
+            nominal_us,
+            1.0,
+        );
+    };
+    match start {
+        StartState::ProgrammedWithOvershoot => program(&mut a),
+        StartState::Erased => pulse(&mut a, 25_000.0),
+        StartState::MidPartialErase => {
+            program(&mut a);
+            pulse(&mut a, 20.0 * (1.0 + wear / 20_000.0));
+        }
+    }
+    a
+}
+
+/// Runs one pulse through the lane kernel and the scalar reference on two
+/// copies of `a` and asserts every lane and the completion flag agree to the
+/// bit. Returns the completion flag.
+fn assert_pulse_matches_reference(
+    p: &PhysicsParams,
+    a: &CellArena,
+    pulse: &PulseNoise,
+    nominal_us: f64,
+    temp_factor: f64,
+) -> bool {
+    let mut lane = a.clone();
+    let mut scalar = a.clone();
+    let done_lane = lane.erase_pulse(p, &mut cache(p), 128, pulse, nominal_us, temp_factor);
+    let done_scalar = reference::erase_pulse(
+        &mut scalar,
+        p,
+        &mut cache(p),
+        128,
+        pulse,
+        nominal_us,
+        temp_factor,
+    );
+    assert_eq!(done_lane, done_scalar, "completion flag");
+    for i in 0..a.len() {
+        assert_eq!(
+            lane.vth()[i].to_bits(),
+            scalar.vth()[i].to_bits(),
+            "vth {i}"
+        );
+        assert_eq!(
+            lane.wear_cycles()[i].to_bits(),
+            scalar.wear_cycles()[i].to_bits(),
+            "wear {i}"
+        );
+    }
+    done_lane
 }
 
 proptest! {
@@ -203,6 +289,49 @@ proptest! {
         }
     }
 
+    /// Complete-erase-length pulses — where the kernel's closed form
+    /// applies whenever its segment-level bound proves every cell finishes
+    /// — stay bit-identical to the scalar reference across wear, starting
+    /// state, die temperature, and noise-free versus drawn pulses.
+    #[test]
+    fn arena_complete_erase_matches_scalar(
+        seed in any::<u64>(),
+        words in 1u64..18,
+        nominal_ms in 1.0f64..35.0,
+        wear_level in 0usize..4,
+        start in 0usize..3,
+        temp_c in -40.0f64..85.0,
+        drawn in any::<bool>(),
+    ) {
+        let p = params();
+        let wear = [0.0, 10_000.0, 40_000.0, 100_000.0][wear_level];
+        let start = [
+            StartState::ProgrammedWithOvershoot,
+            StartState::Erased,
+            StartState::MidPartialErase,
+        ][start];
+        let a = arena_at(&p, seed, words as usize, wear, start);
+        let pulse = if drawn {
+            PulseNoise::from_stream(&p, &CounterStream::new(seed, 0xE7A5, 1))
+        } else {
+            PulseNoise::none()
+        };
+        assert_pulse_matches_reference(&p, &a, &pulse, nominal_ms * 1000.0, erase_temp_factor(&p, temp_c));
+    }
+
+    /// No cell of a pulse sees an effective duration below the pulse's
+    /// floor, for any pulse draw and cell.
+    #[test]
+    fn effective_floor_bounds_every_cell(
+        seed in any::<u64>(),
+        cell in any::<u64>(),
+        nominal_us in 1.0f64..35_000.0,
+    ) {
+        let p = params();
+        let pulse = PulseNoise::from_stream(&p, &CounterStream::new(seed, 0xF100, 0));
+        prop_assert!(pulse.effective_floor_us(&p, nominal_us) <= pulse.effective_us(&p, cell, nominal_us));
+    }
+
     /// The chunked bulk-stress kernel is bit-identical to the scalar loop.
     #[test]
     fn arena_bulk_stress_matches_scalar(
@@ -282,6 +411,51 @@ fn multi_schedule_bitwise_across_every_lut_bucket() {
             multi[i].to_bits(),
             single.to_bits(),
             "pair {i} (stressed {sw}, spared {pw})"
+        );
+    }
+}
+
+/// A per-cell jitter so wide that the pulse floor sits far below every
+/// crossing time forces the per-cell kernel even for a 35 ms pulse; it
+/// still matches the reference.
+#[test]
+fn complete_erase_falls_back_under_wide_jitter() {
+    let p = PhysicsParams::builder()
+        .op_jitter_sigma(1.0)
+        .build()
+        .unwrap();
+    for (wear, start) in [
+        (0.0, StartState::ProgrammedWithOvershoot),
+        (40_000.0, StartState::MidPartialErase),
+        (100_000.0, StartState::ProgrammedWithOvershoot),
+    ] {
+        let a = arena_at(&p, 0xFA11, 17, wear, start);
+        let pulse = PulseNoise::from_stream(&p, &CounterStream::new(0xFA11, 0xE7A5, 2));
+        assert_pulse_matches_reference(&p, &a, &pulse, 35_000.0, 1.0);
+    }
+}
+
+/// A noise-free pulse just above the slowest cell's full-erase time
+/// completes every cell, but is far short of the closed form's 2× margin,
+/// so the per-cell kernel runs — and matches the reference.
+#[test]
+fn complete_erase_falls_back_just_above_worst_t_full() {
+    let p = params();
+    for wear in [0.0, 40_000.0, 100_000.0] {
+        let n = 17 * 16;
+        let mut a = CellArena::derive(&p, 0x7F011, 128, n);
+        // All cells programmed at exactly their nominal level: no overshoot,
+        // so `t_full` is each cell's whole erase time.
+        a.bulk_stress(&p, &vec![true; n], wear);
+        let mut c = cache(&p);
+        let worst_t_full = (0..n)
+            .map(|i| t_full_us_cached(&p, &a.statics_at(i), &a.state_at(i), &mut c))
+            .fold(0.0f64, f64::max);
+        let done =
+            assert_pulse_matches_reference(&p, &a, &PulseNoise::none(), worst_t_full * 1.001, 1.0);
+        assert!(
+            done,
+            "wear {wear}: a pulse above the worst t_full completes"
         );
     }
 }
